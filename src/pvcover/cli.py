@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 file or parse problems, 3 solver failures,
-4 rounding that stays infeasible through all restarts.  Output is
-byte-identical across runs for a fixed seed; wall-clock timings only
-appear behind --timings so that guarantee survives.
+Exit codes: 0 success, 2 file or parse problems (unreadable input or
+unwritable output), 3 solver failures, 4 rounding that stays infeasible
+through all restarts.  Output is byte-identical across runs for a fixed
+seed; wall-clock timings only appear behind --timings so that guarantee
+survives.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ def _load(args) -> "Instance":
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from None
 
 
 def _print_instance_header(args, inst):
@@ -73,9 +77,7 @@ def _cmd_solve(args) -> int:
     print(report.to_text(include_timings=args.timings))
     print("chosen: " + ",".join(str(v) for v in sel.chosen))
     if args.cut_log:
-        Path(args.cut_log).write_text(
-            "".join(line + "\n" for line in cut_log), encoding="utf-8"
-        )
+        _emit("".join(line + "\n" for line in cut_log), args.cut_log)
     return 0
 
 

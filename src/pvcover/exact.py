@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .instance import Instance
+from .instance import Instance, incidence
 
 __all__ = ["ExactResult", "exact_solve", "DEFAULT_LIMIT"]
 
@@ -34,14 +34,8 @@ def exact_solve(inst: Instance, limit: int = DEFAULT_LIMIT) -> ExactResult:
 
     costs = inst.costs
     order = sorted(range(n), key=lambda v: (-costs[v], v))
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for eid, e in enumerate(inst.edges):
-        incident[e.u].append(eid)
-        incident[e.v].append(eid)
-    edge_groups: list[list[int]] = [[] for _ in range(m)]
-    for gi, g in enumerate(inst.groups):
-        for eid in g.edges:
-            edge_groups[eid].append(gi)
+    inc = incidence(inst)
+    incident, edge_groups = inc.vertex_edges, inc.edge_groups
     weight = [e.weight for e in inst.edges]
     targets = [g.target for g in inst.groups]
     total = [inst.group_weight(gi) for gi in range(r)]

@@ -9,7 +9,7 @@ the lower vertex id.
 from __future__ import annotations
 
 from .errors import SolverError
-from .instance import Instance
+from .instance import Instance, incidence
 from .rounding import VertexSelection
 
 __all__ = ["greedy_solve"]
@@ -19,14 +19,8 @@ def greedy_solve(inst: Instance) -> VertexSelection:
     """Deterministic greedy cover; always feasible since all vertices are."""
     n, m, r = inst.n, inst.m, inst.r
     costs = inst.costs
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for eid, e in enumerate(inst.edges):
-        incident[e.u].append(eid)
-        incident[e.v].append(eid)
-    edge_groups: list[list[int]] = [[] for _ in range(m)]
-    for gi, g in enumerate(inst.groups):
-        for eid in g.edges:
-            edge_groups[eid].append(gi)
+    inc = incidence(inst)
+    incident, edge_groups = inc.vertex_edges, inc.edge_groups
     weight = [e.weight for e in inst.edges]
 
     chosen: set[int] = set()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -14,6 +15,8 @@ __all__ = [
     "Instance",
     "SetCoverInstance",
     "GeneratorConfig",
+    "Incidence",
+    "incidence",
     "parse_instance",
     "serialize_instance",
     "parse_set_cover",
@@ -343,6 +346,47 @@ def serialize_set_cover(sc: SetCoverInstance) -> str:
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Incidence:
+    """Adjacency of an instance, built once per instance by incidence().
+
+    vertex_edges[v] lists the edges at v and edge_groups[e] the groups that
+    hold e, in id order and as Python ints (branch and bound walks them in
+    Python).  group_arrays[g] holds read-only int64 arrays (u, v, weight)
+    over group g's member edges in membership order.
+    """
+
+    vertex_edges: tuple[tuple[int, ...], ...]
+    edge_groups: tuple[tuple[int, ...], ...]
+    group_arrays: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=256)
+def incidence(inst: Instance) -> Incidence:
+    """The instance's Incidence, cached per instance."""
+    vertex_edges: list[list[int]] = [[] for _ in range(inst.n)]
+    for eid, e in enumerate(inst.edges):
+        vertex_edges[e.u].append(eid)
+        vertex_edges[e.v].append(eid)
+    edge_groups: list[list[int]] = [[] for _ in range(inst.m)]
+    group_arrays = []
+    for gi, g in enumerate(inst.groups):
+        for eid in g.edges:
+            edge_groups[eid].append(gi)
+        members = [inst.edges[eid] for eid in g.edges]
+        ends = np.array(
+            [[e.u for e in members], [e.v for e in members], [e.weight for e in members]],
+            dtype=np.int64,
+        )
+        ends.setflags(write=False)
+        group_arrays.append(tuple(ends))
+    return Incidence(
+        vertex_edges=tuple(map(tuple, vertex_edges)),
+        edge_groups=tuple(map(tuple, edge_groups)),
+        group_arrays=tuple(group_arrays),
+    )
+
 
 def coverage(inst: Instance, chosen) -> tuple[int, ...]:
     """Per-group weight of member edges touched by the chosen vertex set."""

@@ -7,7 +7,6 @@ for tiny cutting-plane masters where determinism matters more than speed.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +74,7 @@ def _current_point(A, b, lower, upper, basis, at_upper):
     return x
 
 
-def _simplex(A, b, lower, upper, cost, basis, at_upper, cap, verbose, tag):
+def _simplex(A, b, lower, upper, cost, basis, at_upper, cap, tag):
     """Run bounded-variable simplex until optimal for the given cost vector.
 
     basis is a list of basic variable indices (one per row), at_upper marks
@@ -86,7 +85,7 @@ def _simplex(A, b, lower, upper, cost, basis, at_upper, cap, verbose, tag):
     basis = list(basis)
     at_upper = at_upper.copy()
     movable = upper - lower > 0
-    for it in range(cap):
+    for _ in range(cap):
         basic_mask = np.zeros(nn, dtype=bool)
         basic_mask[basis] = True
         x = np.where(at_upper, upper, lower)
@@ -138,13 +137,6 @@ def _simplex(A, b, lower, upper, cost, basis, at_upper, cap, verbose, tag):
                 leave_at_upper = hits_upper
         if leave < 0 and not np.isfinite(step):
             raise SolverError("unbounded improving direction in simplex")
-        if verbose:
-            print(
-                f"[lp:{tag}] it={it} enter={j} "
-                f"{'flip' if leave < 0 else 'leave=' + str(basis[leave])} "
-                f"step={step:.6g} obj={float(cost @ x):.9g}",
-                file=sys.stderr,
-            )
         if leave < 0:
             at_upper[j] = not at_upper[j]
         else:
@@ -155,7 +147,7 @@ def _simplex(A, b, lower, upper, cost, basis, at_upper, cap, verbose, tag):
     raise LpIterationLimit(f"simplex exceeded {cap} iterations in {tag}")
 
 
-def lp_solve(lp: LinearProgram, verbose: bool = False) -> LpOutcome:
+def lp_solve(lp: LinearProgram) -> LpOutcome:
     """Solve lp to proven optimality or report infeasibility.
 
     Structural variables live in [0, 1]; the returned point is clamped to the
@@ -193,7 +185,7 @@ def lp_solve(lp: LinearProgram, verbose: bool = False) -> LpOutcome:
     phase1 = np.zeros(nn)
     phase1[art] = 1.0
     basis, at_upper, infeas = _simplex(
-        A, b, lower, upper, phase1, basis, at_upper, cap, verbose, "phase1"
+        A, b, lower, upper, phase1, basis, at_upper, cap, "phase1"
     )
     if infeas > EPS_FEAS * (1.0 + float(np.abs(b).sum())):
         return LpOutcome("infeasible", None, None)
@@ -203,7 +195,7 @@ def lp_solve(lp: LinearProgram, verbose: bool = False) -> LpOutcome:
     cost = np.zeros(nn)
     cost[:n] = c_struct
     basis, at_upper, _ = _simplex(
-        A, b, lower, upper, cost, basis, at_upper, cap, verbose, "phase2"
+        A, b, lower, upper, cost, basis, at_upper, cap, "phase2"
     )
 
     x = _current_point(A, b, lower, upper, basis, at_upper)

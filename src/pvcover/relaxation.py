@@ -196,7 +196,6 @@ def threshold_set(x, threshold: float = ROUNDING_THRESHOLD) -> tuple[int, ...]:
 class Separation:
     kind: str  # "clean", "violated" or "cost_cap"
     constraint: KnapsackCoverConstraint | None
-    empty_set_ok: tuple[bool, ...]  # diagnostic: does each group's no-suppression row hold
 
 
 def separate(inst, x, cost_cap=None, tol: float = EPS_FEAS) -> Separation:
@@ -205,21 +204,16 @@ def separate(inst, x, cost_cap=None, tol: float = EPS_FEAS) -> Separation:
     Returns the first violated row by group index, or a clean verdict.  Only
     the suppressed set induced by the rounding threshold is ever examined.
     """
-    empty_ok = []
-    for gi in range(inst.r):
-        row = build_kc_constraint(inst, gi, ())
-        empty_ok.append(row is None or row.satisfied_by(x, tol))
-    empty_ok = tuple(empty_ok)
     if cost_cap is not None:
         spend = sum(c * xv for c, xv in zip(inst.costs, x))
         if spend > cost_cap + tol:
-            return Separation("cost_cap", None, empty_ok)
+            return Separation("cost_cap", None)
     picked = threshold_set(x)
     for gi in range(inst.r):
         row = build_kc_constraint(inst, gi, picked)
         if row is not None and not row.satisfied_by(x, tol):
-            return Separation("violated", row, empty_ok)
-    return Separation("clean", None, empty_ok)
+            return Separation("violated", row)
+    return Separation("clean", None)
 
 
 @dataclass(frozen=True)
@@ -279,29 +273,35 @@ def _log_cut(cut_log, cut, x):
         )
 
 
-def _direct_loop(inst, cut_log, pool, caps):
-    """Optimize the true objective over the pooled rows, cutting until clean.
+def _cut_loop(inst, objective, pool, caps, cut_log, cap=None):
+    """Minimize objective over the pooled rows, appending violated rows until clean.
 
-    Grows pool (cover rows) and caps (capped-coverage rows) in place; returns
-    (x, value, value trace).  Clean means the threshold separation passes and
-    every group's capped demand is met.
+    Grows pool (cover rows) and caps (capped-coverage rows) in place.  With a
+    cost cap the master's first row is costs . x <= cap, and an infeasible
+    master returns None; otherwise returns (x, value, value trace).  Clean
+    means the threshold separation passes and every group's capped demand is
+    met.
     """
-    lp = LinearProgram(inst.costs)
+    lp = LinearProgram(objective)
+    if cap is not None:
+        lp.add_row(dict(enumerate(float(c) for c in inst.costs)), float(cap), LE)
     for row in list(pool.values()) + list(caps.values()):
-        coeffs, rhs = _row_of(row)
-        lp.add_row(coeffs, rhs, GE)
+        lp.add_row(*_row_of(row), GE)
     cut_limit = CUTS_PER_GROUP * max(1, inst.r)
-    cuts_added = 0
     trace = []
     while True:
         out = lp_solve(lp)
         if out.status != "optimal":
+            if cap is not None:
+                return None
             raise SolverError(
                 "master LP reported infeasible; the all-ones point should always fit"
             )
         trace.append(out.value)
-        sep = separate(inst, out.x)
-        cut = sep.constraint if sep.kind == "violated" else None
+        sep = separate(inst, out.x, cost_cap=cap)
+        if sep.kind == "cost_cap":
+            raise SolverError("LP point violates the cost cap row it was solved with")
+        cut = sep.constraint
         store = pool
         if cut is None:
             cut = _first_capped_violation(inst, out.x)
@@ -311,72 +311,29 @@ def _direct_loop(inst, cut_log, pool, caps):
         if cut.key() in store:
             # the violated row is already in the master: numerical stall
             if (
-                separate(inst, out.x, tol=10.0 * EPS_FEAS).kind == "clean"
+                separate(inst, out.x, cost_cap=cap, tol=10.0 * EPS_FEAS).kind == "clean"
                 and _first_capped_violation(inst, out.x, 10.0 * EPS_FEAS) is None
             ):
                 return out.x, out.value, trace
             raise SolverError(
                 "cutting-plane loop stalled on a duplicate cut that stays violated"
             )
-        if cuts_added >= cut_limit:
+        if len(trace) > cut_limit:  # every earlier solve added one cut
             raise CutLimitExceeded(f"more than {cut_limit} cuts generated")
         store[cut.key()] = cut
-        coeffs, rhs = _row_of(cut)
-        lp.add_row(coeffs, rhs, GE)
-        cuts_added += 1
+        lp.add_row(*_row_of(cut), GE)
         _log_cut(cut_log, cut, out.x)
 
 
 def _solve_direct(inst, cut_log):
     pool = _seed_pool(inst)
-    caps: dict = {}
-    x, value, trace = _direct_loop(inst, cut_log, pool, caps)
+    x, value, trace = _cut_loop(inst, inst.costs, pool, {}, cut_log)
     return FractionalSolution(
         x=x,
         objective=value,
         certificate=_certificate(inst, x, pool),
         objectives=tuple(trace),
     )
-
-
-def _probe(inst, pool, caps, cap, cut_log):
-    """Feasibility of the pooled rows under a cost cap; grows both pools in place."""
-    cut_limit = CUTS_PER_GROUP * max(1, inst.r)
-    cuts_added = 0
-    while True:
-        lp = LinearProgram([0.0] * inst.n)
-        lp.add_row(dict(enumerate(float(c) for c in inst.costs)), float(cap), LE)
-        for row in list(pool.values()) + list(caps.values()):
-            coeffs, rhs = _row_of(row)
-            lp.add_row(coeffs, rhs, GE)
-        out = lp_solve(lp)
-        if out.status != "optimal":
-            return None
-        sep = separate(inst, out.x, cost_cap=cap)
-        if sep.kind == "cost_cap":
-            raise SolverError("LP point violates the cost cap row it was solved with")
-        cut = sep.constraint if sep.kind == "violated" else None
-        store = pool
-        if cut is None:
-            cut = _first_capped_violation(inst, out.x)
-            store = caps
-        if cut is None:
-            return out.x
-        if cut.key() in store:
-            stall = separate(inst, out.x, cost_cap=cap, tol=10.0 * EPS_FEAS)
-            if (
-                stall.kind == "clean"
-                and _first_capped_violation(inst, out.x, 10.0 * EPS_FEAS) is None
-            ):
-                return out.x
-            raise SolverError(
-                "cost-cap probe stalled on a duplicate cut that stays violated"
-            )
-        if cuts_added >= cut_limit:
-            raise CutLimitExceeded(f"more than {cut_limit} cuts generated in one probe")
-        store[cut.key()] = cut
-        cuts_added += 1
-        _log_cut(cut_log, cut, out.x)
 
 
 def _solve_delta_search(inst, cut_log):
@@ -386,11 +343,12 @@ def _solve_delta_search(inst, cut_log):
     # instance independent of any cap, so probes may reuse them; sharing the
     # direct loop's pool keeps the search's budget from undercutting the
     # direct objective, which keeps the two modes' reports adjacent.
-    _direct_loop(inst, cut_log, pool, caps)
+    _cut_loop(inst, inst.costs, pool, caps, cut_log)
+    zero = [0.0] * inst.n
     lo, hi = 0, inst.total_cost
     while lo < hi:
         mid = (lo + hi) // 2
-        if _probe(inst, pool, caps, mid, cut_log) is None:
+        if _cut_loop(inst, zero, pool, caps, cut_log, mid) is None:
             lo = mid + 1
         else:
             hi = mid
@@ -398,8 +356,9 @@ def _solve_delta_search(inst, cut_log):
     # and a cap once infeasible stays infeasible as the pool grows, so walk
     # upward until the final pool admits a clean point
     while lo <= inst.total_cost:
-        x = _probe(inst, pool, caps, lo, cut_log)
-        if x is not None:
+        found = _cut_loop(inst, zero, pool, caps, cut_log, lo)
+        if found is not None:
+            x = found[0]
             return FractionalSolution(
                 x=x,
                 objective=float(sum(c * xv for c, xv in zip(inst.costs, x))),
@@ -416,11 +375,12 @@ def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> Frac
     mode "direct" optimizes the true cost objective and adds violated rows
     until the point is clean.  mode "delta" binary-searches the smallest
     integer cost cap whose capped feasibility program admits a clean point;
-    valid rows are kept across probes.  Clean throughout means the threshold
-    separation passes and every group's capped demand is met, so a returned
-    point is both roundable and at least as expensive as the natural
-    relaxation's optimum.  Both modes return a FractionalSolution whose
-    certificate re-verifies at the returned point.
+    each probe reuses every row pooled so far (the direct loop's, then
+    earlier probes') and appends the new cuts it finds.  Clean throughout
+    means the threshold separation passes and every group's capped demand is
+    met, so a returned point is both roundable and at least as expensive as
+    the natural relaxation's optimum.  Both modes return a
+    FractionalSolution whose certificate re-verifies at the returned point.
     """
     if mode == "direct":
         return _solve_direct(inst, cut_log)

@@ -17,14 +17,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .constants import EPS_FEAS, EPS_OPT, ROUNDING_SCALE, ROUNDING_THRESHOLD
 from .errors import RoundingFailure, SolverError
-from .instance import Instance, coverage, is_feasible
-from .relaxation import FractionalSolution, residual, threshold_set, wdeg
+from .instance import Instance, coverage, incidence, is_feasible
+from .relaxation import FractionalSolution, build_kc_constraint, threshold_set
 
 __all__ = [
     "VertexSelection",
@@ -133,18 +132,6 @@ def rounds_for(r: int, rounds_constant: int) -> int:
     return rounds_constant * math.ceil(math.log2(r + 1))
 
 
-@lru_cache(maxsize=256)
-def _mc_arrays(inst: Instance):
-    """Edge endpoint/weight arrays per group, cached per instance."""
-    per_group = []
-    for g in inst.groups:
-        eu = np.array([inst.edges[eid].u for eid in g.edges], dtype=np.int64)
-        ev = np.array([inst.edges[eid].v for eid in g.edges], dtype=np.int64)
-        ew = np.array([inst.edges[eid].weight for eid in g.edges], dtype=np.int64)
-        per_group.append((eu, ev, ew))
-    return per_group
-
-
 def _split_by_threshold(x, threshold):
     sure = []
     rest = []
@@ -215,7 +202,7 @@ def simulate_rounds(
     costs = costs + picked @ rest_costs
 
     success = np.empty((trials, inst.r), dtype=bool)
-    for gi, (eu, ev, ew) in enumerate(_mc_arrays(inst)):
+    for gi, (eu, ev, ew) in enumerate(incidence(inst).group_arrays):
         base = 0
         rand_cols_u = []
         rand_cols_v = []
@@ -279,17 +266,9 @@ def precondition_margins(
     picked = threshold_set(x, threshold)
     out = []
     for gi in range(inst.r):
-        left = residual(inst, gi, picked)
-        if left < 1:
-            continue
-        margin = 0.0
-        for v in range(inst.n):
-            if v in picked:
-                continue
-            d = wdeg(inst, gi, v, picked)
-            if d:
-                margin += min(d, left) / left * x[v]
-        out.append((gi, margin))
+        row = build_kc_constraint(inst, gi, picked)
+        if row is not None:
+            out.append((gi, sum(a / row.rhs * x[v] for v, a in row.coefficients)))
     return tuple(out)
 
 

@@ -122,6 +122,18 @@ def test_exact_limit_is_exit_2(capsys, tmp_path, star5):
     assert "capped" in err
 
 
+def test_unwritable_output_is_exit_2(capsys, tmp_path, star_file):
+    missing = tmp_path / "no" / "such"
+    code, _, err = run_cli(
+        capsys, "generate", "star", "--degree", "3", "--out", str(missing / "x.pvc")
+    )
+    assert code == 2
+    assert err.startswith("error: cannot write")
+    code, _, err = run_cli(capsys, "solve", star_file, "--cut-log", str(missing / "c.log"))
+    assert code == 2
+    assert err.startswith("error: cannot write")
+
+
 def test_solver_error_is_exit_3(capsys, star_file, monkeypatch):
     def boom(*args, **kwargs):
         raise pv.SolverError("forced")

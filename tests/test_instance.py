@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pvcover as pv
+from pvcover.instance import incidence
 from conftest import PATH_TEXT, random_instances
 
 
@@ -163,6 +164,35 @@ def test_with_overlapping_groups_only_adds_memberships():
         grew = grew or len(new.edges) > len(old.edges)
         assert 1 <= new.target <= sum(fat.edges[eid].weight for eid in new.edges)
     assert grew  # at probability 0.5 on 14 edges this is essentially certain
+
+
+def test_incidence_matches_brute_force_rebuild():
+    insts = (
+        random_instances(4, 12, 20, 4, weight_max=3)
+        + random_instances(4, 12, 20, 4, weight_max=3, overlap=0.3)
+        + [pv.generate_star(100)]
+    )
+    shared = 0
+    for inst in insts:
+        inc = incidence(inst)
+        assert incidence(inst) is inc
+        for v in range(inst.n):
+            want = tuple(eid for eid, e in enumerate(inst.edges) if v in (e.u, e.v))
+            assert inc.vertex_edges[v] == want
+        for eid in range(inst.m):
+            want = tuple(gi for gi, g in enumerate(inst.groups) if eid in g.edges)
+            assert inc.edge_groups[eid] == want
+            shared += len(want) > 1
+        for lists in (inc.vertex_edges, inc.edge_groups):
+            assert all(type(i) is int for ids in lists for i in ids)
+        assert len(inc.group_arrays) == inst.r
+        for g, arrays in zip(inst.groups, inc.group_arrays):
+            members = [inst.edges[eid] for eid in g.edges]
+            for arr, want in zip(arrays, ([e.u for e in members], [e.v for e in members],
+                                          [e.weight for e in members])):
+                assert arr.dtype == np.int64 and not arr.flags.writeable
+                assert arr.tolist() == want
+    assert shared  # the overlapping family puts some edges in several groups
 
 
 def test_set_cover_parse_and_serialize():

@@ -122,7 +122,7 @@ def test_separate_star_scaled_points(star5):
     assert out.kind == "violated"
     assert out.constraint.suppressed == ()
     assert out.constraint.group == 0
-    assert not out.empty_set_ok[0]
+    assert not pv.build_kc_constraint(star5, 0, ()).satisfied_by(x)
 
 
 def test_separate_zero_and_one_points(path3):
@@ -137,7 +137,7 @@ def test_separate_cost_cap_precedence(path3):
     out = pv.separate(path3, [1.0, 1.0, 1.0], cost_cap=1)
     assert out.kind == "cost_cap"
     assert out.constraint is None
-    assert out.empty_set_ok == (True,)
+    assert pv.build_kc_constraint(path3, 0, ()).satisfied_by([1.0, 1.0, 1.0])
 
 
 def test_separate_returns_lowest_violated_group():
