@@ -10,7 +10,9 @@ survives.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import time
 from pathlib import Path
 
 from .bench import BenchConfig, format_csv, gap_rows, run_bench
@@ -66,9 +68,14 @@ def _print_instance_header(args, inst):
 def _cmd_solve(args) -> int:
     inst = _load(args)
     cut_log: list[str] | None = [] if args.cut_log else None
+    t0 = time.perf_counter()
     frac = solve_relaxation(inst, mode=args.mode, cut_log=cut_log)
+    relaxation_s = time.perf_counter() - t0
     cfg = RoundingConfig(seed=args.seed, rounds_constant=args.rounds_constant)
     sel, report = solve_rounded(inst, frac, cfg, prune=args.prune)
+    report = dataclasses.replace(
+        report, timings={**report.timings, "relaxation": relaxation_s}
+    )
     _print_instance_header(args, inst)
     print(f"mode: {args.mode}")
     if frac.cost_cap is not None:

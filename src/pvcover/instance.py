@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -146,6 +147,30 @@ def _parse_gid(tok: str, lineno: int) -> int:
     return _parse_int(tok, lineno, "group id")
 
 
+# Error messages name at most this many ids.  Header counts are untrusted, so
+# missing ids come from a lazy scan of 0..count-1: the k-th missing id turns up
+# within len(present) + k steps, which the file's length bounds.
+_NAMED_IDS = 5
+
+
+def _name_ids(ids) -> str:
+    """The first few ids of an iterable as '[a, b, ...]', drawing at most one more."""
+    head = list(islice(ids, _NAMED_IDS + 1))
+    more = ", ..." if len(head) > _NAMED_IDS else ""
+    return "[" + ", ".join(map(str, head[:_NAMED_IDS])) + more + "]"
+
+
+def _check_ids(found, count: int, what: str) -> None:
+    """Require the record ids in found to be exactly 0..count-1."""
+    extra = sorted(i for i in found if not 0 <= i < count)
+    if len(found) == count and not extra:
+        return
+    missing = _name_ids(i for i in range(count) if i not in found)
+    raise InputError(
+        f"{what} records do not cover 0..{count - 1}: missing {missing}, extra {_name_ids(extra)}"
+    )
+
+
 def _record_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -225,14 +250,8 @@ def parse_instance(text: str | bytes, strict_partition: bool = False) -> Instanc
         else:
             raise InputError(f"line {lineno}: unknown record type {kind!r}")
 
-    if sorted(costs) != list(range(n)):
-        missing = sorted(set(range(n)) - set(costs))
-        extra = sorted(set(costs) - set(range(n)))
-        raise InputError(f"vertex records do not cover 0..{n - 1}: missing {missing}, extra {extra}")
-    if sorted(edges) != list(range(m)):
-        missing = sorted(set(range(m)) - set(edges))
-        extra = sorted(set(edges) - set(range(m)))
-        raise InputError(f"edge records do not cover 0..{m - 1}: missing {missing}, extra {extra}")
+    _check_ids(costs, n, "vertex")
+    _check_ids(edges, m, "edge")
     for gid in sorted(members):
         if not (0 <= gid < r):
             raise InputError(f"membership for unknown group {gid} (r={r})")
@@ -294,8 +313,8 @@ class SetCoverInstance:
             if self.costs[si] < 0:
                 raise InputError(f"set {si}: cost must be non-negative")
             covered.update(members)
-        missing = sorted(set(range(self.n_elements)) - covered)
-        if missing:
+        if len(covered) < self.n_elements:
+            missing = _name_ids(e for e in range(self.n_elements) if e not in covered)
             raise InputError(f"elements {missing} are not covered by any set")
 
 
@@ -327,8 +346,7 @@ def parse_set_cover(text: str | bytes) -> SetCoverInstance:
             raise InputError(f"line {lineno}: duplicate set id {sid}")
         costs[sid] = _parse_int(toks[2], lineno, "set cost")
         sets[sid] = tuple(sorted(_parse_int(t, lineno, "element") for t in toks[3:]))
-    if sorted(sets) != list(range(m)):
-        raise InputError(f"set records do not cover 0..{m - 1}")
+    _check_ids(sets, m, "set")
     return SetCoverInstance(
         n_elements=r,
         sets=tuple(sets[s] for s in range(m)),

@@ -67,19 +67,12 @@ class LinearProgram:
         return self
 
 
-def _current_point(A, b, lower, upper, basis, at_upper):
-    x = np.where(at_upper, upper, lower)
-    x[basis] = 0.0
-    x[basis] = np.linalg.solve(A[:, basis], b - A @ x)
-    return x
-
-
 def _simplex(A, b, lower, upper, cost, basis, at_upper, cap, tag):
     """Run bounded-variable simplex until optimal for the given cost vector.
 
     basis is a list of basic variable indices (one per row), at_upper marks
     nonbasic variables sitting at their upper bound.  Returns the updated
-    basis, flags, and objective value.
+    basis, flags, and the optimal basic point.
     """
     m, nn = A.shape
     basis = list(basis)
@@ -105,7 +98,7 @@ def _simplex(A, b, lower, upper, cost, basis, at_upper, cap, tag):
         )
         candidates = np.flatnonzero(eligible)
         if candidates.size == 0:
-            return basis, at_upper, float(cost @ x)
+            return basis, at_upper, x
         j = int(candidates[0])  # Bland: smallest eligible index enters
         sign = -1.0 if at_upper[j] else 1.0
         w = np.linalg.solve(B, A[:, j])
@@ -184,21 +177,19 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
 
     phase1 = np.zeros(nn)
     phase1[art] = 1.0
-    basis, at_upper, infeas = _simplex(
+    basis, at_upper, x = _simplex(
         A, b, lower, upper, phase1, basis, at_upper, cap, "phase1"
     )
-    if infeas > EPS_FEAS * (1.0 + float(np.abs(b).sum())):
+    if float(phase1 @ x) > EPS_FEAS * (1.0 + float(np.abs(b).sum())):
         return LpOutcome("infeasible", None, None)
 
     upper = upper.copy()
     upper[art] = 0.0  # artificials are locked at zero from here on
     cost = np.zeros(nn)
     cost[:n] = c_struct
-    basis, at_upper, _ = _simplex(
+    _, _, x = _simplex(
         A, b, lower, upper, cost, basis, at_upper, cap, "phase2"
     )
-
-    x = _current_point(A, b, lower, upper, basis, at_upper)
     xs = np.clip(x[:n], 0.0, 1.0)
     _audit_rows(lp, xs, b)
     return LpOutcome("optimal", float(c_struct @ xs), tuple(float(v) for v in xs))

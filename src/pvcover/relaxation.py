@@ -31,6 +31,7 @@ __all__ = [
     "Separation",
     "FractionalSolution",
     "threshold_set",
+    "threshold_rows",
     "residual",
     "wdeg",
     "build_kc_constraint",
@@ -187,9 +188,21 @@ def _first_capped_violation(inst, x, tol: float = EPS_FEAS):
     return None
 
 
-def threshold_set(x, threshold: float = ROUNDING_THRESHOLD) -> tuple[int, ...]:
+def threshold_set(x) -> tuple[int, ...]:
     """Vertices at or above the rounding threshold (less a feasibility slack)."""
-    return tuple(v for v, xv in enumerate(x) if xv >= threshold - EPS_FEAS)
+    return tuple(v for v, xv in enumerate(x) if xv >= ROUNDING_THRESHOLD - EPS_FEAS)
+
+
+def threshold_rows(inst, x):
+    """Yield, in group order, each group's cover row at x's threshold set.
+
+    Groups the threshold set already satisfies have no row and are skipped.
+    """
+    picked = threshold_set(x)
+    for gi in range(inst.r):
+        row = build_kc_constraint(inst, gi, picked)
+        if row is not None:
+            yield row
 
 
 @dataclass(frozen=True)
@@ -208,10 +221,8 @@ def separate(inst, x, cost_cap=None, tol: float = EPS_FEAS) -> Separation:
         spend = sum(c * xv for c, xv in zip(inst.costs, x))
         if spend > cost_cap + tol:
             return Separation("cost_cap", None)
-    picked = threshold_set(x)
-    for gi in range(inst.r):
-        row = build_kc_constraint(inst, gi, picked)
-        if row is not None and not row.satisfied_by(x, tol):
+    for row in threshold_rows(inst, x):
+        if not row.satisfied_by(x, tol):
             return Separation("violated", row)
     return Separation("clean", None)
 
@@ -247,11 +258,8 @@ def _seed_pool(inst):
 
 def _certificate(inst, x, pool):
     rows = dict(pool)
-    picked = threshold_set(x)
-    for gi in range(inst.r):
-        row = build_kc_constraint(inst, gi, picked)
-        if row is not None:
-            rows.setdefault(row.key(), row)
+    for row in threshold_rows(inst, x):
+        rows.setdefault(row.key(), row)
     cert = tuple(rows.values())
     for row in cert:
         if not row.satisfied_by(x, 10.0 * EPS_FEAS):

@@ -1,11 +1,13 @@
 """Randomized threshold rounding with a logarithmic round schedule.
 
-One round takes every vertex at or above the threshold outright and each
-other vertex independently with probability scale * x_v.  A single round
+One round takes every vertex at or above the threshold 1/6 outright and
+each other vertex independently with probability 6 * x_v.  A single round
 covers any fixed group with probability at least 5/8 whenever the clean
 point satisfies the normalized cover row of its threshold set, so a union
 of O(log r) independent rounds is feasible with high probability at cost
-O(log r) times the fractional objective.
+O(log r) times the fractional objective.  The threshold is the one the
+separation oracle checks (constants.ROUNDING_THRESHOLD); the bound holds
+only because the two sides share it.
 
 Randomness is pinned: Philox streams from numpy, split per attempt and per
 round through SeedSequence.spawn, one uniform draw per below-threshold
@@ -17,13 +19,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
-from .constants import EPS_FEAS, EPS_OPT, ROUNDING_SCALE, ROUNDING_THRESHOLD
+from .constants import EPS_OPT, ROUNDING_SCALE
 from .errors import RoundingFailure, SolverError
 from .instance import Instance, coverage, incidence, is_feasible
-from .relaxation import FractionalSolution, build_kc_constraint, threshold_set
+from .relaxation import FractionalSolution, threshold_rows, threshold_set
 
 __all__ = [
     "VertexSelection",
@@ -41,6 +44,9 @@ __all__ = [
 ]
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+
+# Attempts (each a fresh union of rounds) before solve_rounded gives up.
+MAX_RESTARTS = 8
 
 
 @dataclass(frozen=True)
@@ -63,28 +69,17 @@ class VertexSelection:
 
 @dataclass(frozen=True)
 class RoundingConfig:
-    """Seed, round budget multiplier, and the threshold coupling.
+    """Rounding seed and round budget multiplier.
 
-    rounds_constant scales the ceil(log2(r + 1)) round schedule.  threshold
-    and scale must stay inverses of each other or the per-round success
-    guarantee is void.
+    rounds_constant scales the ceil(log2(r + 1)) round schedule.
     """
 
     seed: int = 0
     rounds_constant: int = 4
-    threshold: float = ROUNDING_THRESHOLD
-    scale: float = ROUNDING_SCALE
-    max_restarts: int = 8
 
     def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if abs(self.threshold * self.scale - 1.0) > 1e-9:
-            raise ValueError("scale must be the inverse of threshold")
         if self.rounds_constant < 1:
             raise ValueError("rounds_constant must be at least 1")
-        if self.max_restarts < 1:
-            raise ValueError("max_restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -132,36 +127,27 @@ def rounds_for(r: int, rounds_constant: int) -> int:
     return rounds_constant * math.ceil(math.log2(r + 1))
 
 
-def _split_by_threshold(x, threshold):
-    sure = []
-    rest = []
-    for v, xv in enumerate(x):
-        if xv >= threshold - EPS_FEAS:
-            sure.append(v)
-        else:
-            rest.append(v)
-    return sure, rest
+def _draw(x, trials: int, rng: np.random.Generator):
+    """Threshold set, the other vertices, and a (trials, k) mask of their picks.
+
+    Row t consumes the same doubles as the t-th rng.random(k) call: one
+    uniform draw per below-threshold vertex, in vertex id order.
+    """
+    sure = threshold_set(x)
+    taken = set(sure)
+    rest = [v for v in range(len(x)) if v not in taken]
+    probs = ROUNDING_SCALE * np.array([x[v] for v in rest])
+    return sure, rest, rng.random((trials, len(rest))) < probs
 
 
-def round_once(
-    inst: Instance,
-    x,
-    rng: np.random.Generator,
-    threshold: float = ROUNDING_THRESHOLD,
-    scale: float = ROUNDING_SCALE,
-) -> VertexSelection:
+def round_once(inst: Instance, x, rng: np.random.Generator) -> VertexSelection:
     """One independent rounding round.
 
     Consumes exactly one uniform draw per below-threshold vertex, in vertex
     id order, so a round can be replayed from its seed alone.
     """
-    sure, rest = _split_by_threshold(x, threshold)
-    draws = rng.random(len(rest))
-    chosen = list(sure)
-    for v, d in zip(rest, draws):
-        if d < scale * x[v]:
-            chosen.append(v)
-    return VertexSelection.from_set(inst, chosen)
+    sure, rest, picked = _draw(x, 1, rng)
+    return VertexSelection.from_set(inst, sure + tuple(compress(rest, picked[0])))
 
 
 @dataclass(frozen=True)
@@ -176,14 +162,7 @@ class RoundSamples:
         return int(self.costs.shape[0])
 
 
-def simulate_rounds(
-    inst: Instance,
-    x,
-    trials: int,
-    rng: np.random.Generator,
-    threshold: float = ROUNDING_THRESHOLD,
-    scale: float = ROUNDING_SCALE,
-) -> RoundSamples:
+def simulate_rounds(inst: Instance, x, trials: int, rng: np.random.Generator) -> RoundSamples:
     """Draw many independent rounds at once.
 
     Row t of the draw matrix consumes the same stream round_once would in
@@ -191,9 +170,7 @@ def simulate_rounds(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    sure, rest = _split_by_threshold(x, threshold)
-    probs = np.array([scale * x[v] for v in rest])
-    picked = rng.random((trials, len(rest))) < probs[None, :]
+    sure, rest, picked = _draw(x, trials, rng)
 
     col = {v: i for i, v in enumerate(rest)}
     sure_set = set(sure)
@@ -243,33 +220,22 @@ def single_round_success(inst: Instance, x, trials: int, seed: int) -> tuple[Gro
     return tuple(rates)
 
 
-def expected_round_cost(
-    inst: Instance,
-    x,
-    scale: float = ROUNDING_SCALE,
-) -> float:
-    """Closed-form expected cost of one round: sum of min(1, scale*x_v) * cost_v."""
-    return float(sum(c * min(1.0, scale * xv) for c, xv in zip(inst.costs, x)))
+def expected_round_cost(inst: Instance, x) -> float:
+    """Closed-form expected cost of one round: sum of min(1, 6 * x_v) * cost_v."""
+    return float(sum(c * min(1.0, ROUNDING_SCALE * xv) for c, xv in zip(inst.costs, x)))
 
 
-def precondition_margins(
-    inst: Instance,
-    x,
-    threshold: float = ROUNDING_THRESHOLD,
-) -> tuple[tuple[int, float], ...]:
+def precondition_margins(inst: Instance, x) -> tuple[tuple[int, float], ...]:
     """Normalized cover-row values for groups still unsatisfied by the threshold set.
 
     Entry (group, margin) with margin = sum over outside vertices of
     min(wdeg, residual)/residual * x_v.  A clean point keeps every margin at
     least 1 up to tolerance; the rounding driver refuses to start otherwise.
     """
-    picked = threshold_set(x, threshold)
-    out = []
-    for gi in range(inst.r):
-        row = build_kc_constraint(inst, gi, picked)
-        if row is not None:
-            out.append((gi, sum(a / row.rhs * x[v] for v, a in row.coefficients)))
-    return tuple(out)
+    return tuple(
+        (row.group, sum(a / row.rhs * x[v] for v, a in row.coefficients))
+        for row in threshold_rows(inst, x)
+    )
 
 
 def _prune(inst, chosen) -> tuple[int, ...]:
@@ -295,20 +261,19 @@ def solve_rounded(
     single round succeed with probability at least 5/8 per group.
     """
     t0 = time.perf_counter()
-    for gi, margin in precondition_margins(inst, frac.x, cfg.threshold):
+    for gi, margin in precondition_margins(inst, frac.x):
         if margin < 1.0 - EPS_OPT:
             raise SolverError(
                 f"rounding precondition violated: group {gi} margin {margin:.9g} < 1"
             )
     rounds = rounds_for(inst.r, cfg.rounds_constant)
     root = np.random.SeedSequence(cfg.seed)
-    attempts = root.spawn(cfg.max_restarts)
-    for attempt in range(cfg.max_restarts):
+    for attempt, attempt_seed in enumerate(root.spawn(MAX_RESTARTS)):
         chosen: set[int] = set()
-        for round_seed in attempts[attempt].spawn(rounds):
+        for round_seed in attempt_seed.spawn(rounds):
             rng = np.random.Generator(np.random.Philox(round_seed))
-            sel = round_once(inst, frac.x, rng, cfg.threshold, cfg.scale)
-            chosen.update(sel.chosen)
+            sure, rest, picked = _draw(frac.x, 1, rng)
+            chosen.update(sure, compress(rest, picked[0]))
         union = VertexSelection.from_set(inst, chosen)
         if is_feasible(inst, union.chosen):
             pruned_cost = None
@@ -332,5 +297,5 @@ def solve_rounded(
             )
             return union, report
     raise RoundingFailure(
-        f"no feasible union after {cfg.max_restarts} attempts of {rounds} rounds"
+        f"no feasible union after {MAX_RESTARTS} attempts of {rounds} rounds"
     )

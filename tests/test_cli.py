@@ -74,6 +74,33 @@ def test_solve_prune_and_timings_lines(capsys, star_file):
     assert any(line.startswith("time_round: ") for line in lines)
 
 
+def test_solve_timings_include_relaxation(capsys, star_file):
+    _, out, _ = run_cli(capsys, "solve", star_file, "--timings")
+    stages = [line.split(":")[0] for line in out.splitlines() if line.startswith("time_")]
+    assert stages == ["time_relaxation", "time_round"]
+    _, out, _ = run_cli(capsys, "solve", star_file)
+    assert "time_" not in out
+
+
+def test_oversized_header_counts_are_exit_2(capsys, tmp_path):
+    star = pv.serialize_instance(pv.generate_star(3))
+    cases = [
+        ("solve", star.replace("p pvc 4 3 1", "p pvc 99999999999999999999 3 1")),
+        ("solve", star.replace("p pvc 4 3 1", "p pvc 4 99999999999999999999 1")),
+        ("solve", star.replace("p pvc 4 3 1", "p pvc 1000000 3 1")),
+        ("setcover-reduce", "p sc 2 99999999999999999999\ns 0 1 0 1\n"),
+        ("setcover-reduce", "p sc 99999999999999999999 1\ns 0 1 0 1\n"),
+        ("setcover-reduce", "p sc 1000000 1\ns 0 1 0 1\n"),
+    ]
+    for i, (command, text) in enumerate(cases):
+        path = tmp_path / f"case{i}.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = ["solve", str(path)] if command == "solve" else ["generate", command, str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err) < 200, err
+
+
 def test_solve_cut_log_written(capsys, tmp_path):
     inst_path = tmp_path / "rand.pvc"
     code = cli.main([

@@ -1,5 +1,7 @@
 """Instance model: parsing, canonical serialization, generators, reductions."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,58 @@ def test_reduce_set_cover_structure():
     assert got[0] == [(0, 2)]
     assert got[1] == [(0, 3), (1, 3)]
     assert got[2] == [(1, 4)]
+
+
+FUZZ_VOCAB = ["99999999999999999999", "1000000", "-1", "g", "1.5", "\x00", "0", "1",
+              "2", "g0", "p", "v", "e", "k", "s", "pvc", "sc", "#"]
+
+
+def _mutate(text, rnd):
+    lines = text.splitlines()
+    for _ in range(rnd.randint(1, 3)):
+        if not lines:
+            break
+        i = rnd.randrange(len(lines))
+        toks = lines[i].split()
+        op = rnd.randrange(7)
+        if op == 0 and toks:  # replace a token
+            toks[rnd.randrange(len(toks))] = rnd.choice(FUZZ_VOCAB)
+        elif op == 1 and toks:  # drop a token
+            del toks[rnd.randrange(len(toks))]
+        elif op == 2 and toks:  # duplicate a token
+            j = rnd.randrange(len(toks))
+            toks.insert(j, toks[j])
+        elif op == 3:  # truncate a line
+            toks = toks[: rnd.randrange(len(toks) + 1)]
+        elif op == 4:  # drop a line
+            del lines[i]
+            continue
+        elif op == 5:  # duplicate a line
+            lines.insert(i, lines[i])
+            continue
+        else:  # insert a vocabulary token
+            toks.insert(rnd.randrange(len(toks) + 1), rnd.choice(FUZZ_VOCAB))
+        lines[i] = " ".join(toks)
+    out = "\n".join(lines) + "\n"
+    if rnd.random() < 0.1:  # truncate the file
+        out = out[: rnd.randrange(len(out) + 1)]
+    return out
+
+
+def test_parser_fuzz_raises_only_input_error():
+    """Seeded mutations of valid files either parse or raise InputError."""
+    rnd = random.Random(20111208)
+    bases = [
+        (pv.parse_instance, PATH_TEXT),
+        (pv.parse_instance, pv.serialize_instance(random_instances(1, n=6, m=9, r=3)[0])),
+        (pv.parse_set_cover, "p sc 4 3\ns 0 2 0 1\ns 1 3 1 2 3\ns 2 4 0 3\n"),
+    ]
+    for case in range(2000):
+        parse, text = bases[case % len(bases)]
+        mutated = _mutate(text, rnd)
+        try:
+            parse(mutated)
+        except pv.InputError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"case {case}: {type(exc).__name__}: {exc} on {mutated!r}")
