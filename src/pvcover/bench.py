@@ -179,44 +179,20 @@ def _fmt(value) -> str:
 def format_csv(records, footer, include_timings: bool = False) -> str:
     """Render records plus one aggregate row.  Appended columns are permitted
     by the schema, so timing columns only show up when asked for."""
-    stages = []
-    if include_timings:
-        seen = set()
-        for rec in records:
-            for stage in rec.timings:
-                if stage not in seen:
-                    seen.add(stage)
-                    stages.append(stage)
-        stages.sort()
+    stages = sorted({s for rec in records for s in rec.timings}) if include_timings else []
     buf = io.StringIO()
     buf.write(f"# schema: {SCHEMA}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS + [f"time_{s}" for s in stages])
+    writer = csv.DictWriter(
+        buf, COLUMNS + [f"time_{s}" for s in stages], restval="", lineterminator="\n"
+    )
+    writer.writeheader()
     for rec in records:
-        row = [
-            rec.instance,
-            rec.n,
-            rec.m,
-            rec.r,
-            _fmt(rec.natural_lp),
-            _fmt(rec.strengthened_lp),
-            _fmt(rec.rounded_cost),
-            _fmt(rec.exact_cost),
-            _fmt(rec.greedy_cost),
-            _fmt(rec.rounds),
-            _fmt(rec.restarts),
-            rec.seed,
-            _fmt(rec.min_round_success),
-            rec.status,
-            "",
-            "",
-        ]
-        row += [_fmt(rec.timings.get(s)) for s in stages]
+        row = {col: _fmt(getattr(rec, col)) for col in COLUMNS if hasattr(rec, col)}
+        row.update((f"time_{s}", _fmt(rec.timings.get(s))) for s in stages)
         writer.writerow(row)
-    agg = ["aggregate", "", "", "", "", "", "", "", "", "", "", "", _fmt(footer["min_round_success"]), "ok",
-           _fmt(footer["max_cost_over_exact"]), _fmt(footer["mean_cost_over_exact"])]
-    agg += ["" for _ in stages]
-    writer.writerow(agg)
+    writer.writerow(
+        {"instance": "aggregate", "status": "ok", **{k: _fmt(v) for k, v in footer.items()}}
+    )
     return buf.getvalue()
 
 

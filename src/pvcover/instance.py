@@ -27,9 +27,14 @@ __all__ = [
     "generate_random",
     "with_overlapping_groups",
     "reduce_set_cover",
+    "covered_weights",
     "coverage",
     "is_feasible",
 ]
+
+# Covered weights and round costs are summed in int64 arrays; every such sum
+# is bounded by the total vertex cost or a group's total member weight.
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -55,9 +60,10 @@ class Instance:
 
     Vertex ids are dense 0..n-1 and costs[v] is the non-negative integer cost
     of vertex v.  Groups reference edges by index; they may overlap and need
-    not exhaust the edge set.  A group target never exceeds the total weight
-    of its members, so picking every vertex is always feasible.  Instances
-    are immutable and hashable.
+    not exhaust the edge set; there is at least one group.  A group target
+    never exceeds the total weight of its members, so picking every vertex
+    is always feasible.  The total vertex cost and each group's total member
+    weight fit in int64.  Instances are immutable and hashable.
     """
 
     costs: tuple[int, ...]
@@ -71,6 +77,10 @@ class Instance:
         for v, c in enumerate(self.costs):
             if c < 0:
                 raise InputError(f"vertex {v}: cost must be non-negative, got {c}")
+        if self.total_cost > _INT64_MAX:
+            raise InputError("total vertex cost exceeds 2**63 - 1")
+        if not self.groups:
+            raise InputError("instance needs at least one group")
         for eid, e in enumerate(self.edges):
             if not (0 <= e.u < n and 0 <= e.v < n):
                 raise InputError(f"edge {eid}: endpoint out of range for n={n}")
@@ -87,6 +97,8 @@ class Instance:
                 if not (0 <= eid < len(self.edges)):
                     raise InputError(f"group {gi}: unknown edge index {eid}")
             total = sum(self.edges[eid].weight for eid in g.edges)
+            if total > _INT64_MAX:
+                raise InputError(f"group {gi}: total member weight exceeds 2**63 - 1")
             if g.target < 0:
                 raise InputError(f"group {gi}: target must be non-negative, got {g.target}")
             if g.target > total:
@@ -406,18 +418,29 @@ def incidence(inst: Instance) -> Incidence:
     )
 
 
+def covered_weights(inst: Instance, picked: np.ndarray) -> np.ndarray:
+    """Per-group covered weight of boolean pick masks: shape (..., n) to int64 (..., r).
+
+    An edge counts once toward each group that holds it when either endpoint
+    is picked.
+    """
+    # vertex axis first, so each endpoint gather copies whole rows
+    by_vertex = np.moveaxis(picked, -1, 0)
+    return np.stack(
+        [w @ (by_vertex[u] | by_vertex[v]) for u, v, w in incidence(inst).group_arrays],
+        axis=-1,
+    )
+
+
 def coverage(inst: Instance, chosen) -> tuple[int, ...]:
-    """Per-group weight of member edges touched by the chosen vertex set."""
-    picked = set(chosen)
-    out = []
-    for g in inst.groups:
-        w = 0
-        for eid in g.edges:
-            e = inst.edges[eid]
-            if e.u in picked or e.v in picked:
-                w += e.weight
-        out.append(w)
-    return tuple(out)
+    """Per-group weight of member edges touched by the chosen vertex set.
+
+    Each edge counts once per group that holds it, whichever endpoints are
+    chosen; the weights are Python ints.
+    """
+    picked = np.zeros(inst.n, dtype=bool)
+    picked[list(chosen)] = True
+    return tuple(int(w) for w in covered_weights(inst, picked))
 
 
 def is_feasible(inst: Instance, chosen) -> bool:
@@ -538,20 +561,16 @@ def with_overlapping_groups(inst: Instance, extra_prob: float, seed: int) -> Ins
     return replace(inst, groups=groups)
 
 
-def reduce_set_cover(sc: SetCoverInstance, heavy_cost: int | None = None) -> Instance:
+def reduce_set_cover(sc: SetCoverInstance) -> Instance:
     """Encode weighted set cover as a covering instance on a bipartite graph.
 
     Left vertex i carries set i's cost; right vertex (m + u) stands for
     element u and carries a sentinel cost high enough that no optimal
-    solution ever takes it (default: 1 + total left cost).  Element u
+    solution ever takes it (1 + total left cost).  Element u
     becomes a group over its incident unit-weight edges with target 1,
     so the groups form a strict partition and optima coincide exactly.
     """
     m = len(sc.sets)
-    if heavy_cost is None:
-        heavy_cost = 1 + sum(sc.costs)
-    if heavy_cost <= max(sc.costs, default=0):
-        raise InputError("heavy_cost must exceed every set cost")
     edges = []
     incident: list[list[int]] = [[] for _ in range(sc.n_elements)]
     for si, members in enumerate(sc.sets):
@@ -560,7 +579,7 @@ def reduce_set_cover(sc: SetCoverInstance, heavy_cost: int | None = None) -> Ins
             edges.append(Edge(si, m + el, 1))
     groups = tuple(Group(tuple(hits), 1) for hits in incident)
     return Instance(
-        costs=tuple(sc.costs) + (heavy_cost,) * sc.n_elements,
+        costs=tuple(sc.costs) + (1 + sum(sc.costs),) * sc.n_elements,
         edges=tuple(edges),
         groups=groups,
     )

@@ -45,8 +45,18 @@ __all__ = [
 CUTS_PER_GROUP = 200
 
 
+class _CoverRow:
+    """Shared evaluation of a row sum of coefficients[v] * x_v >= rhs."""
+
+    def lhs_at(self, x) -> float:
+        return sum(a * x[v] for v, a in self.coefficients)
+
+    def satisfied_by(self, x, tol: float = EPS_FEAS) -> bool:
+        return self.lhs_at(x) >= self.rhs - tol
+
+
 @dataclass(frozen=True)
-class KnapsackCoverConstraint:
+class KnapsackCoverConstraint(_CoverRow):
     """One truncated cover row: sum of coefficients[v] * x_v >= rhs.
 
     suppressed is the vertex set assumed already picked; rhs is the group's
@@ -61,12 +71,6 @@ class KnapsackCoverConstraint:
 
     def key(self):
         return (self.group, self.suppressed)
-
-    def lhs_at(self, x) -> float:
-        return sum(a * x[v] for v, a in self.coefficients)
-
-    def satisfied_by(self, x, tol: float = EPS_FEAS) -> bool:
-        return self.lhs_at(x) >= self.rhs - tol
 
 
 def residual(inst: Instance, group: int, suppressed) -> int:
@@ -97,31 +101,44 @@ def wdeg(inst: Instance, group: int, v: int, suppressed) -> int:
     return total
 
 
-def build_kc_constraint(inst, group, suppressed):
-    """Truncated cover row for (group, suppressed), or None when satisfied already."""
+def _cover_row(inst, group, covered):
+    """Demand left, kept edge ids and truncated coefficients of a group's cover row.
+
+    covered(e) marks a member edge as already covered: its weight comes off
+    the target.  Every other ("kept") member edge adds its weight to both
+    endpoints' coefficients, each capped at the demand left.
+    """
     g = inst.groups[group]
-    picked = frozenset(suppressed)
     left = g.target
+    kept = []
     acc: dict[int, int] = {}
     for eid in g.edges:
         e = inst.edges[eid]
-        if e.u in picked or e.v in picked:
+        if covered(e):
             left -= e.weight
         else:
+            kept.append(eid)
             acc[e.u] = acc.get(e.u, 0) + e.weight
             acc[e.v] = acc.get(e.v, 0) + e.weight
+    return left, kept, tuple((v, min(left, w)) for v, w in sorted(acc.items()))
+
+
+def build_kc_constraint(inst, group, suppressed):
+    """Truncated cover row for (group, suppressed), or None when satisfied already."""
+    picked = frozenset(suppressed)
+    left, _, coefficients = _cover_row(inst, group, lambda e: e.u in picked or e.v in picked)
     if left <= 0:
         return None
     return KnapsackCoverConstraint(
         group=group,
         suppressed=tuple(sorted(picked)),
-        coefficients=tuple((v, min(left, w)) for v, w in sorted(acc.items())),
+        coefficients=coefficients,
         rhs=left,
     )
 
 
 @dataclass(frozen=True)
-class CappedCoverageCut:
+class CappedCoverageCut(_CoverRow):
     """Capped-demand row for one group: sum of coefficients[v] * x_v >= rhs.
 
     An edge supplies a group's demand at most its own weight, however large
@@ -140,12 +157,6 @@ class CappedCoverageCut:
     def key(self):
         return ("cap", self.group, self.kept)
 
-    def lhs_at(self, x) -> float:
-        return sum(a * x[v] for v, a in self.coefficients)
-
-    def satisfied_by(self, x, tol: float = EPS_FEAS) -> bool:
-        return self.lhs_at(x) >= self.rhs - tol
-
 
 def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS):
     """Capped-demand row for the group, induced by and violated at x, or None.
@@ -155,27 +166,17 @@ def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS):
     sum of w_e * min(1, x_u + x_v) against the group target, so a None
     return certifies the group's capped demand is met at x.
     """
-    g = inst.groups[group]
-    kept = []
-    acc: dict[int, int] = {}
+    left, kept, coefficients = _cover_row(inst, group, lambda e: x[e.u] + x[e.v] >= 1.0)
     supply = 0.0
-    left = g.target
-    for eid in g.edges:
+    for eid in kept:
         e = inst.edges[eid]
-        s = x[e.u] + x[e.v]
-        if s >= 1.0:
-            left -= e.weight
-        else:
-            kept.append(eid)
-            acc[e.u] = acc.get(e.u, 0) + e.weight
-            acc[e.v] = acc.get(e.v, 0) + e.weight
-            supply += e.weight * s
+        supply += e.weight * (x[e.u] + x[e.v])
     if left <= 0 or supply >= left - tol:
         return None
     return CappedCoverageCut(
         group=group,
         kept=tuple(kept),
-        coefficients=tuple((v, min(left, w)) for v, w in sorted(acc.items())),
+        coefficients=coefficients,
         rhs=left,
     )
 
@@ -243,10 +244,6 @@ class FractionalSolution:
     cost_cap: int | None = None
 
 
-def _row_of(cut: KnapsackCoverConstraint):
-    return dict(cut.coefficients), float(cut.rhs)
-
-
 def _seed_pool(inst):
     pool: dict = {}
     for gi in range(inst.r):
@@ -292,9 +289,9 @@ def _cut_loop(inst, objective, pool, caps, cut_log, cap=None):
     """
     lp = LinearProgram(objective)
     if cap is not None:
-        lp.add_row(dict(enumerate(float(c) for c in inst.costs)), float(cap), LE)
+        lp.add_row(enumerate(inst.costs), cap, LE)
     for row in list(pool.values()) + list(caps.values()):
-        lp.add_row(*_row_of(row), GE)
+        lp.add_row(row.coefficients, row.rhs, GE)
     cut_limit = CUTS_PER_GROUP * max(1, inst.r)
     trace = []
     while True:
@@ -329,7 +326,7 @@ def _cut_loop(inst, objective, pool, caps, cut_log, cap=None):
         if len(trace) > cut_limit:  # every earlier solve added one cut
             raise CutLimitExceeded(f"more than {cut_limit} cuts generated")
         store[cut.key()] = cut
-        lp.add_row(*_row_of(cut), GE)
+        lp.add_row(cut.coefficients, cut.rhs, GE)
         _log_cut(cut_log, cut, out.x)
 
 

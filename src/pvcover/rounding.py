@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import EPS_OPT, ROUNDING_SCALE
 from .errors import RoundingFailure, SolverError
-from .instance import Instance, coverage, incidence, is_feasible
+from .instance import Instance, coverage, covered_weights, is_feasible
 from .relaxation import FractionalSolution, threshold_rows, threshold_set
 
 __all__ = [
@@ -167,39 +167,21 @@ def simulate_rounds(inst: Instance, x, trials: int, rng: np.random.Generator) ->
 
     Row t of the draw matrix consumes the same stream round_once would in
     its t-th call on the same generator, so the two agree sample for sample.
+    Round t is row t of a (trials, n) pick mask: the threshold set plus
+    that row's draws.  Costs are the mask times the vertex costs, and a
+    group succeeds where covered_weights, the evaluator behind coverage,
+    reaches its target.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     sure, rest, picked = _draw(x, trials, rng)
-
-    col = {v: i for i, v in enumerate(rest)}
-    sure_set = set(sure)
-    costs = np.full(trials, sum(inst.costs[v] for v in sure), dtype=np.int64)
-    rest_costs = np.array([inst.costs[v] for v in rest], dtype=np.int64)
-    costs = costs + picked @ rest_costs
-
-    success = np.empty((trials, inst.r), dtype=bool)
-    for gi, (eu, ev, ew) in enumerate(incidence(inst).group_arrays):
-        base = 0
-        rand_cols_u = []
-        rand_cols_v = []
-        rand_w = []
-        for u, v, w in zip(eu, ev, ew):
-            if int(u) in sure_set or int(v) in sure_set:
-                base += int(w)
-            else:
-                rand_cols_u.append(col[int(u)])
-                rand_cols_v.append(col[int(v)])
-                rand_w.append(int(w))
-        target = inst.groups[gi].target
-        if not rand_w:
-            success[:, gi] = base >= target
-            continue
-        cu = picked[:, np.array(rand_cols_u)]
-        cv = picked[:, np.array(rand_cols_v)]
-        got = base + (cu | cv) @ np.array(rand_w, dtype=np.int64)
-        success[:, gi] = got >= target
-    return RoundSamples(costs=costs, success=success)
+    # vertex-major, the layout covered_weights gathers from
+    by_vertex = np.zeros((inst.n, trials), dtype=bool)
+    by_vertex[list(sure)] = True
+    by_vertex[rest] = picked.T
+    costs = np.array(inst.costs, dtype=np.int64) @ by_vertex
+    targets = np.array([g.target for g in inst.groups], dtype=np.int64)
+    return RoundSamples(costs=costs, success=covered_weights(inst, by_vertex.T) >= targets)
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,26 @@ def test_oversized_header_counts_are_exit_2(capsys, tmp_path):
         assert err.startswith("error: ") and len(err) < 200, err
 
 
+def test_int64_overflow_and_zero_groups_are_exit_2(capsys, tmp_path):
+    huge = "99999999999999999999"
+    texts = [
+        LOPSIDED_EDGE_TEXT.replace("e 0 0 1 1", f"e 0 0 1 {huge}"),
+        LOPSIDED_EDGE_TEXT.replace("v 1 5", f"v 1 {huge}"),
+        # each cost fits in int64, their sum does not
+        LOPSIDED_EDGE_TEXT.replace("v 0 3", "v 0 5000000000000000000").replace(
+            "v 1 5", "v 1 5000000000000000000"
+        ),
+        "p pvc 2 1 0\nv 0 3\nv 1 5\ne 0 0 1 1\n",
+    ]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"case{i}.pvc"
+        path.write_text(text, encoding="utf-8")
+        for command in ("solve", "verify", "greedy", "exact", "lp1"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2 and out == "", (i, command, code)
+            assert err.startswith("error: ") and len(err) < 200, err
+
+
 def test_solve_cut_log_written(capsys, tmp_path):
     inst_path = tmp_path / "rand.pvc"
     code = cli.main([

@@ -113,7 +113,9 @@ def test_coverage_counts_weighted_edges_once():
 
 
 def test_coverage_matches_naive_recount():
-    for inst in random_instances(8, n=8, m=12, r=3, weight_max=5):
+    for inst in random_instances(8, n=8, m=12, r=3, weight_max=5) + random_instances(
+        8, n=8, m=12, r=3, weight_max=5, overlap=0.35
+    ):
         rng = np.random.default_rng(inst.m)
         chosen = tuple(v for v in range(inst.n) if rng.random() < 0.4)
         got = pv.coverage(inst, chosen)

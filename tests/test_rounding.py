@@ -46,7 +46,9 @@ def test_round_once_consumes_one_draw_per_low_vertex_in_id_order(star5):
 
 
 def test_simulate_rounds_replays_round_once_stream():
-    for inst in random_instances(4, n=8, m=12, r=3, weight_max=3):
+    for inst in random_instances(4, n=8, m=12, r=3, weight_max=3) + random_instances(
+        4, n=8, m=12, r=3, weight_max=3, overlap=0.35
+    ):
         frac = pv.solve_relaxation(inst)
         trials = 64
         matrix = pv.simulate_rounds(inst, frac.x, trials, philox(1234))
