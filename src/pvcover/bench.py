@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PvcoverError
+from .errors import InputError, PvcoverError
 from .exact import exact_solve
 from .greedy import greedy_solve
 from .instance import GeneratorConfig, generate_random, generate_star, with_overlapping_groups
@@ -61,6 +61,11 @@ class BenchConfig:
     exact_limit: int = 20
     mode: str = "direct"
     rounds_constant: int = 4
+
+    def __post_init__(self):
+        for name, (lo, hi) in (("n", self.n_range), ("r", self.r_range)):
+            if lo > hi:
+                raise InputError(f"empty {name} range: min {lo} is above max {hi}")
 
 
 @dataclass

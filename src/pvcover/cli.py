@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 file or parse problems (unreadable input or
-unwritable output), 3 solver failures, 4 rounding that stays infeasible
-through all restarts.  Output is byte-identical across runs for a fixed
-seed; wall-clock timings only appear behind --timings so that guarantee
-survives.
+Exit codes: 0 success, 2 bad argument values or file and parse problems
+(unreadable input or unwritable output), 3 solver failures, 4 rounding that
+stays infeasible through all restarts.  Output is byte-identical across runs
+for a fixed seed; wall-clock timings only appear behind --timings so that
+guarantee survives.
 """
 
 from __future__ import annotations
@@ -176,13 +176,33 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    degrees = [int(tok) for tok in args.degrees.split(",") if tok]
     lines = ["degree natural_lp strengthened_lp exact"]
-    for d, nat, strong, opt in gap_rows(degrees):
+    for d, nat, strong, opt in gap_rows(args.degrees):
         lines.append(f"{d} {nat:.9g} {strong:.9g} {opt}")
     text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0
+
+
+def _int_at_least(lo):
+    """argparse type: an integer no smaller than lo."""
+
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's error line reads "invalid int value: '...'"
+    return parse
+
+
+def _int_list(text):
+    """argparse type: comma-separated integers."""
+    return [int(tok) for tok in text.split(",") if tok]
+
+
+_int_list.__name__ = "int list"
 
 
 def _add_instance_arg(p):
@@ -203,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="LP relaxation plus randomized rounding")
     _add_instance_arg(p)
-    p.add_argument("--seed", type=int, default=0, help="rounding seed (64-bit)")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="rounding seed (64-bit)")
     p.add_argument("--mode", choices=["direct", "delta"], default="direct")
-    p.add_argument("--rounds-constant", type=int, default=4)
+    p.add_argument("--rounds-constant", type=_int_at_least(1), default=4)
     p.add_argument("--prune", action="store_true", help="also report a pruned solution")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.add_argument("--cut-log", default=None, help="write one line per generated cut")
@@ -226,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Monte Carlo check of the per-round success bound")
     _add_instance_arg(p)
-    p.add_argument("--trials", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_at_least(1), default=20000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--mode", choices=["direct", "delta"], default="direct")
     p.set_defaults(func=_cmd_verify)
 
@@ -243,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--r", type=int, required=True)
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_int_at_least(0), required=True)
     g.add_argument("--cost-min", type=int, default=1)
     g.add_argument("--cost-max", type=int, default=10)
     g.add_argument("--weight-min", type=int, default=1)
@@ -261,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="batch of random instances, CSV out")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--n-min", type=int, default=6)
     p.add_argument("--n-max", type=int, default=16)
     p.add_argument("--m-min", type=int, default=8)
@@ -274,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap-extra", type=float, default=0.0)
     p.add_argument("--exact-limit", type=int, default=20)
     p.add_argument("--mode", choices=["direct", "delta"], default="direct")
-    p.add_argument("--rounds-constant", type=int, default=4)
+    p.add_argument("--rounds-constant", type=_int_at_least(1), default=4)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gap", help="integrality gap table on stars")
-    p.add_argument("--degrees", default="2,5,20,100")
+    p.add_argument("--degrees", type=_int_list, default="2,5,20,100")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gap)
 

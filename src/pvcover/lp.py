@@ -1,8 +1,10 @@
 """Small dense LP kernel: min c.x over rows a.x >= b or a.x <= b with 0 <= x <= 1.
 
 Bounded-variable primal simplex, Bland's anti-cycling rule, two phases with
-artificial variables, and a fresh basis factorization every iteration.  Built
-for tiny cutting-plane masters where determinism matters more than speed.
+artificial variables, and a fresh basis factorization every iteration.  Every
+lower bound is 0: structurals live in [0, 1], slacks and artificials in
+[0, inf).  Built for tiny cutting-plane masters where determinism matters more
+than speed.
 """
 
 from __future__ import annotations
@@ -67,21 +69,17 @@ class LinearProgram:
         return self
 
 
-def _simplex(A, b, lower, upper, cost, basis, at_upper, cap, tag):
+def _simplex(A, b, upper, cost, basis, at_upper, cap, tag):
     """Run bounded-variable simplex until optimal for the given cost vector.
 
-    basis is a list of basic variable indices (one per row), at_upper marks
-    nonbasic variables sitting at their upper bound.  Returns the updated
-    basis, flags, and the optimal basic point.
+    Every variable lies in [0, upper].  basis lists the basic variables (one
+    per row) and at_upper marks nonbasic variables at their upper bound; both
+    are updated in place and returned with the optimal basic point.
     """
-    m, nn = A.shape
-    basis = list(basis)
-    at_upper = at_upper.copy()
-    movable = upper - lower > 0
+    m = A.shape[0]
+    movable = upper > 0
     for _ in range(cap):
-        basic_mask = np.zeros(nn, dtype=bool)
-        basic_mask[basis] = True
-        x = np.where(at_upper, upper, lower)
+        x = np.where(at_upper, upper, 0.0)
         x[basis] = 0.0
         B = A[:, basis]
         try:
@@ -91,10 +89,9 @@ def _simplex(A, b, lower, upper, cost, basis, at_upper, cap, tag):
             raise SolverError("singular working basis in simplex") from None
         x[basis] = xb
         d = cost - y @ A
-        eligible = (
-            ~basic_mask
-            & movable
-            & ((~at_upper & (d < -_PIVOT_EPS)) | (at_upper & (d > _PIVOT_EPS)))
+        d[basis] = 0.0  # basic variables never price
+        eligible = movable & (
+            (~at_upper & (d < -_PIVOT_EPS)) | (at_upper & (d > _PIVOT_EPS))
         )
         candidates = np.flatnonzero(eligible)
         if candidates.size == 0:
@@ -104,13 +101,13 @@ def _simplex(A, b, lower, upper, cost, basis, at_upper, cap, tag):
         w = np.linalg.solve(B, A[:, j])
 
         # step t moves x_j by sign*t and each basic value by -sign*w*t
-        step = upper[j] - lower[j]
+        step = upper[j]
         leave = -1
         leave_at_upper = False
         for k in range(m):
             delta = -sign * w[k]
             if delta < -_PIVOT_EPS:
-                t = max(xb[k] - lower[basis[k]], 0.0) / -delta
+                t = max(xb[k], 0.0) / -delta
                 hits_upper = False
             elif delta > _PIVOT_EPS:
                 ub = upper[basis[k]]
@@ -150,10 +147,6 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     n = lp.nvars
     m = len(lp.rows)
     c_struct = np.array(lp.objective, dtype=float)
-    if m == 0:
-        x = np.where(c_struct < 0.0, 1.0, 0.0)
-        return LpOutcome("optimal", float(c_struct @ x), tuple(float(v) for v in x))
-
     # columns: structural | slack per row | artificial per row
     nn = n + 2 * m
     A = np.zeros((m, nn))
@@ -166,30 +159,22 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     art = n + m + np.arange(m)
     A[np.arange(m), art] = np.where(b >= 0.0, 1.0, -1.0)
 
-    lower = np.zeros(nn)
-    upper = np.empty(nn)
+    upper = np.full(nn, np.inf)
     upper[:n] = 1.0
-    upper[n:] = np.inf
-
-    basis = list(art)
-    at_upper = np.zeros(nn, dtype=bool)
     cap = 50 * (n + m) + 200
 
     phase1 = np.zeros(nn)
     phase1[art] = 1.0
     basis, at_upper, x = _simplex(
-        A, b, lower, upper, phase1, basis, at_upper, cap, "phase1"
+        A, b, upper, phase1, list(art), np.zeros(nn, dtype=bool), cap, "phase1"
     )
     if float(phase1 @ x) > EPS_FEAS * (1.0 + float(np.abs(b).sum())):
         return LpOutcome("infeasible", None, None)
 
-    upper = upper.copy()
     upper[art] = 0.0  # artificials are locked at zero from here on
     cost = np.zeros(nn)
     cost[:n] = c_struct
-    _, _, x = _simplex(
-        A, b, lower, upper, cost, basis, at_upper, cap, "phase2"
-    )
+    _, _, x = _simplex(A, b, upper, cost, basis, at_upper, cap, "phase2")
     xs = np.clip(x[:n], 0.0, 1.0)
     _audit_rows(lp, xs, b)
     return LpOutcome("optimal", float(c_struct @ xs), tuple(float(v) for v in xs))

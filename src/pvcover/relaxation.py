@@ -244,15 +244,6 @@ class FractionalSolution:
     cost_cap: int | None = None
 
 
-def _seed_pool(inst):
-    pool: dict = {}
-    for gi in range(inst.r):
-        row = build_kc_constraint(inst, gi, ())
-        if row is not None:
-            pool[row.key()] = row
-    return pool
-
-
 def _certificate(inst, x, pool):
     rows = dict(pool)
     for row in threshold_rows(inst, x):
@@ -330,26 +321,38 @@ def _cut_loop(inst, objective, pool, caps, cut_log, cap=None):
         _log_cut(cut_log, cut, out.x)
 
 
-def _solve_direct(inst, cut_log):
-    pool = _seed_pool(inst)
-    x, value, trace = _cut_loop(inst, inst.costs, pool, {}, cut_log)
-    return FractionalSolution(
-        x=x,
-        objective=value,
-        certificate=_certificate(inst, x, pool),
-        objectives=tuple(trace),
-    )
+def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> FractionalSolution:
+    """Solve the strengthened relaxation by lazy row generation.
 
-
-def _solve_delta_search(inst, cut_log):
-    pool = _seed_pool(inst)
-    caps: dict = {}
-    # Harvest the direct loop's rows first.  Every pooled row is valid for the
-    # instance independent of any cap, so probes may reuse them; sharing the
-    # direct loop's pool keeps the search's budget from undercutting the
-    # direct objective, which keeps the two modes' reports adjacent.
-    _cut_loop(inst, inst.costs, pool, caps, cut_log)
+    Both modes seed the pool with each group's unsuppressed cover row and run
+    the cutting-plane loop on the true cost objective, adding violated rows
+    until the point is clean; mode "direct" returns that point.  mode "delta"
+    then binary-searches the smallest integer cost cap whose capped
+    feasibility program admits a clean point; each probe reuses every row
+    pooled so far (the direct loop's, then earlier probes') and appends the
+    new cuts it finds.  Clean means the threshold separation passes and every
+    group's capped demand is met, so a returned point is both roundable and
+    at least as expensive as the natural relaxation's optimum.  Both modes
+    return a FractionalSolution whose certificate re-verifies at that point.
+    """
+    if mode not in ("direct", "delta"):
+        raise InputError(f"unknown relaxation mode {mode!r}")
     zero = [0.0] * inst.n
+    # the zero point's threshold set is empty: each group's unsuppressed row
+    pool = {row.key(): row for row in threshold_rows(inst, zero)}
+    caps: dict = {}
+    x, value, trace = _cut_loop(inst, inst.costs, pool, caps, cut_log)
+    if mode == "direct":
+        return FractionalSolution(
+            x=x,
+            objective=value,
+            certificate=_certificate(inst, x, pool),
+            objectives=tuple(trace),
+        )
+    # Every pooled row is valid for the instance independent of any cap, so
+    # probes may reuse the direct loop's rows; sharing its pool keeps the
+    # search's budget from undercutting the direct objective, which keeps the
+    # two modes' reports adjacent.
     lo, hi = 0, inst.total_cost
     while lo < hi:
         mid = (lo + hi) // 2
@@ -372,26 +375,6 @@ def _solve_delta_search(inst, cut_log):
             )
         lo += 1
     raise SolverError("no cost cap up to the full budget admits a clean point")
-
-
-def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> FractionalSolution:
-    """Solve the strengthened relaxation by lazy row generation.
-
-    mode "direct" optimizes the true cost objective and adds violated rows
-    until the point is clean.  mode "delta" binary-searches the smallest
-    integer cost cap whose capped feasibility program admits a clean point;
-    each probe reuses every row pooled so far (the direct loop's, then
-    earlier probes') and appends the new cuts it finds.  Clean throughout
-    means the threshold separation passes and every group's capped demand is
-    met, so a returned point is both roundable and at least as expensive as
-    the natural relaxation's optimum.  Both modes return a
-    FractionalSolution whose certificate re-verifies at the returned point.
-    """
-    if mode == "direct":
-        return _solve_direct(inst, cut_log)
-    if mode == "delta":
-        return _solve_delta_search(inst, cut_log)
-    raise InputError(f"unknown relaxation mode {mode!r}")
 
 
 def solve_natural_lp(inst: Instance) -> FractionalSolution:

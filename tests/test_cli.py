@@ -121,6 +121,31 @@ def test_int64_overflow_and_zero_groups_are_exit_2(capsys, tmp_path):
             assert err.startswith("error: ") and len(err) < 200, err
 
 
+def test_bad_argument_values_are_exit_2(capsys, star_file):
+    cases = [
+        (["gap", "--degrees", "2,x"], "2,x"),
+        (["bench", "--count", "1", "--seed", "1", "--n-min", "10", "--n-max", "5"], "10"),
+        (["bench", "--count", "2", "--seed", "1", "--r-min", "3", "--r-max", "2"], "3"),
+        (["bench", "--count", "1", "--seed", "1", "--rounds-constant", "0"], "0"),
+        (["bench", "--count", "1", "--seed", "-1"], "-1"),
+        (["verify", star_file, "--trials", "0"], "0"),
+        (["verify", star_file, "--seed", "-1"], "-1"),
+        (["solve", star_file, "--rounds-constant", "0"], "0"),
+        (["solve", star_file, "--seed", "-1"], "-1"),
+        (["generate", "random", "--n", "5", "--m", "6", "--r", "2", "--seed", "-1"], "-1"),
+    ]
+    for argv, bad in cases:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a value before any command runs
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert "Traceback" not in captured.err
+        last = captured.err.strip().splitlines()[-1]
+        assert "error" in last and bad in last, (argv, last)
+
+
 def test_solve_cut_log_written(capsys, tmp_path):
     inst_path = tmp_path / "rand.pvc"
     code = cli.main([

@@ -127,6 +127,12 @@ def test_lp_solve_pinned_cases():
     out = lp_solve(lp)
     assert out.x[0] == pytest.approx(0.25, abs=1e-9)
 
+    # with no rows every negative-cost variable sits at its upper bound
+    out = lp_solve(LinearProgram([1.0, -2.0, 0.0, -0.5]))
+    assert out.status == "optimal"
+    assert out.x == (0.0, 1.0, 0.0, 1.0)
+    assert out.value == pytest.approx(-2.5, abs=1e-9)
+
 
 def test_lp_objective_constant_shift_free():
     # zero objective reports value 0 on any feasible system
@@ -134,6 +140,14 @@ def test_lp_objective_constant_shift_free():
     out = lp_solve(lp)
     assert out.status == "optimal"
     assert out.value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lp_ladder_values():
+    # the longest pivot sequences in the suite: a 40/80/8 natural LP and the
+    # cutting-plane masters of its strengthened relaxation
+    inst = pv.generate_random(40, 80, 8, 1, pv.GeneratorConfig(weight_range=(1, 3)))
+    assert pv.solve_natural_lp(inst).objective == pytest.approx(39.125, abs=1e-6)
+    assert pv.solve_relaxation(inst).objective == pytest.approx(40.0, abs=1e-6)
 
 
 def test_add_row_validation():
