@@ -10,9 +10,10 @@ fixtures reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, le
 
 from .errors import InputError
-from .instance import Instance, incidence
+from .instance import Instance
 
 __all__ = ["ExactResult", "exact_solve", "DEFAULT_LIMIT"]
 
@@ -34,11 +35,12 @@ def exact_solve(inst: Instance, limit: int = DEFAULT_LIMIT) -> ExactResult:
 
     costs = inst.costs
     order = sorted(range(n), key=lambda v: (-costs[v], v))
-    inc = incidence(inst)
+    inc = inst.incidence
     incident, edge_groups = inc.vertex_edges, inc.edge_groups
     weight = [e.weight for e in inst.edges]
     targets = [g.target for g in inst.groups]
-    total = [inst.group_weight(gi) for gi in range(r)]
+    # weight each group can lose and still reach its target
+    slack = [inst.group_weight(gi) - targets[gi] for gi in range(r)]
 
     chosen_ends = [0] * m  # chosen endpoints per edge
     gone_ends = [0] * m  # excluded endpoints per edge
@@ -90,30 +92,35 @@ def exact_solve(inst: Instance, limit: int = DEFAULT_LIMIT) -> ExactResult:
         if best[0] is None or key < (best[0], best[1]):
             best[0], best[1] = key
 
-    def rec(idx, cur_cost, picked):
-        nonlocal nodes
+    # Depth-first over the decisions on order[0], order[1], ...: path[i] is
+    # True while order[i] is included (tried first) and False once excluded.
+    path: list[bool] = []
+    cur_cost = 0
+    while True:
         nodes += 1
-        if best[0] is not None and cur_cost > best[0]:
-            return
-        for gi in range(r):
-            if total[gi] - lost[gi] < targets[gi]:
-                return
-        if all(covered[gi] >= targets[gi] for gi in range(r)):
-            settle(cur_cost, picked, idx)
-            return
-        if idx == n:
-            return
-        v = order[idx]
-        include(v)
-        picked.append(v)
-        rec(idx + 1, cur_cost + costs[v], picked)
-        picked.pop()
+        idx = len(path)
+        descend = (best[0] is None or cur_cost <= best[0]) and all(map(le, lost, slack))
+        if descend and all(map(ge, covered, targets)):
+            settle(cur_cost, [order[i] for i in range(idx) if path[i]], idx)
+            descend = False
+        if descend and idx < n:
+            v = order[idx]
+            include(v)
+            cur_cost += costs[v]
+            path.append(True)
+            continue
+        # backtrack to the deepest include decision and flip it to exclude
+        while path and not path[-1]:
+            unexclude(order[len(path) - 1])
+            path.pop()
+        if not path:
+            break
+        v = order[len(path) - 1]
         uninclude(v)
+        cur_cost -= costs[v]
         exclude(v)
-        rec(idx + 1, cur_cost, picked)
-        unexclude(v)
+        path[-1] = False
 
-    rec(0, 0, [])
     if best[0] is None:
         # unreachable while targets respect group weights, kept as a guard
         raise InputError("instance admits no feasible vertex set")

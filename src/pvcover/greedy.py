@@ -9,7 +9,7 @@ the lower vertex id.
 from __future__ import annotations
 
 from .errors import SolverError
-from .instance import Instance, incidence
+from .instance import Instance
 from .rounding import VertexSelection
 
 __all__ = ["greedy_solve"]
@@ -19,7 +19,7 @@ def greedy_solve(inst: Instance) -> VertexSelection:
     """Deterministic greedy cover; always feasible since all vertices are."""
     n, m, r = inst.n, inst.m, inst.r
     costs = inst.costs
-    inc = incidence(inst)
+    inc = inst.incidence
     incident, edge_groups = inc.vertex_edges, inc.edge_groups
     weight = [e.weight for e in inst.edges]
 

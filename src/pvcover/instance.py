@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -124,6 +124,31 @@ class Instance:
 
     def group_weight(self, gi: int) -> int:
         return sum(self.edges[eid].weight for eid in self.groups[gi].edges)
+
+    @cached_property
+    def incidence(self) -> Incidence:
+        """Adjacency index, built on first use and kept on this object (not a field)."""
+        vertex_edges: list[list[int]] = [[] for _ in range(self.n)]
+        for eid, e in enumerate(self.edges):
+            vertex_edges[e.u].append(eid)
+            vertex_edges[e.v].append(eid)
+        edge_groups: list[list[int]] = [[] for _ in range(self.m)]
+        group_arrays = []
+        for gi, g in enumerate(self.groups):
+            for eid in g.edges:
+                edge_groups[eid].append(gi)
+            members = [self.edges[eid] for eid in g.edges]
+            ends = np.array(
+                [[e.u for e in members], [e.v for e in members], [e.weight for e in members]],
+                dtype=np.int64,
+            )
+            ends.setflags(write=False)
+            group_arrays.append(tuple(ends))
+        return Incidence(
+            vertex_edges=tuple(map(tuple, vertex_edges)),
+            edge_groups=tuple(map(tuple, edge_groups)),
+            group_arrays=tuple(group_arrays),
+        )
 
 
 def check_strict_partition(inst: Instance) -> None:
@@ -379,7 +404,7 @@ def serialize_set_cover(sc: SetCoverInstance) -> str:
 
 @dataclass(frozen=True)
 class Incidence:
-    """Adjacency of an instance, built once per instance by incidence().
+    """Adjacency of an instance, built once per instance object (Instance.incidence).
 
     vertex_edges[v] lists the edges at v and edge_groups[e] the groups that
     hold e, in id order and as Python ints (branch and bound walks them in
@@ -392,30 +417,9 @@ class Incidence:
     group_arrays: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-@lru_cache(maxsize=256)
 def incidence(inst: Instance) -> Incidence:
-    """The instance's Incidence, cached per instance."""
-    vertex_edges: list[list[int]] = [[] for _ in range(inst.n)]
-    for eid, e in enumerate(inst.edges):
-        vertex_edges[e.u].append(eid)
-        vertex_edges[e.v].append(eid)
-    edge_groups: list[list[int]] = [[] for _ in range(inst.m)]
-    group_arrays = []
-    for gi, g in enumerate(inst.groups):
-        for eid in g.edges:
-            edge_groups[eid].append(gi)
-        members = [inst.edges[eid] for eid in g.edges]
-        ends = np.array(
-            [[e.u for e in members], [e.v for e in members], [e.weight for e in members]],
-            dtype=np.int64,
-        )
-        ends.setflags(write=False)
-        group_arrays.append(tuple(ends))
-    return Incidence(
-        vertex_edges=tuple(map(tuple, vertex_edges)),
-        edge_groups=tuple(map(tuple, edge_groups)),
-        group_arrays=tuple(group_arrays),
-    )
+    """The instance's Incidence: inst.incidence, built once per instance object."""
+    return inst.incidence
 
 
 def covered_weights(inst: Instance, picked: np.ndarray) -> np.ndarray:
@@ -427,7 +431,7 @@ def covered_weights(inst: Instance, picked: np.ndarray) -> np.ndarray:
     # vertex axis first, so each endpoint gather copies whole rows
     by_vertex = np.moveaxis(picked, -1, 0)
     return np.stack(
-        [w @ (by_vertex[u] | by_vertex[v]) for u, v, w in incidence(inst).group_arrays],
+        [w @ (by_vertex[u] | by_vertex[v]) for u, v, w in inst.incidence.group_arrays],
         axis=-1,
     )
 

@@ -1,4 +1,4 @@
-"""Strengthened covering relaxation: cover inequalities, separation, cutting planes.
+"""Covering relaxations over vertex variables: cover rows, separation, cutting planes.
 
 For a group with residual demand left after removing a vertex set, each
 outside vertex can contribute at most min(residual, its remaining weighted
@@ -6,19 +6,17 @@ degree).  Those truncated rows close the integrality gap of the natural
 relaxation; only the row induced by the rounding threshold ever needs to be
 checked, which keeps separation polynomial and the master LP tiny.
 
-The solver enforces a second, independent family alongside the cover rows:
-capped-coverage rows, which bound each edge's contribution to a group's
-demand by its own weight (an edge is covered at most once no matter how
-large x_u + x_v grows).  They are the vertex-variable shadow of the natural
-relaxation, separable exactly in one pass over the group's edges, and they
-pin the solved value at or above the natural relaxation's — so the two
-relaxations always report in the expected order even though the lazy cover
-rows alone could drift below it.
+Capped-coverage rows bound each edge's contribution to a group's demand by
+its own weight, and one pass over a group's edges separates them exactly.
+Untruncated, they are the natural relaxation projected onto the vertex
+variables, which the same cutting-plane loop solves; truncated like the
+cover rows, they pin the strengthened value at or above the natural one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .constants import EPS_FEAS, ROUNDING_THRESHOLD
 from .errors import CutLimitExceeded, InputError, SolverError
@@ -101,12 +99,12 @@ def wdeg(inst: Instance, group: int, v: int, suppressed) -> int:
     return total
 
 
-def _cover_row(inst, group, covered):
-    """Demand left, kept edge ids and truncated coefficients of a group's cover row.
+def _cover_row(inst, group, covered, truncate=True):
+    """Demand left, kept edge ids and coefficients of a group's cover row.
 
     covered(e) marks a member edge as already covered: its weight comes off
     the target.  Every other ("kept") member edge adds its weight to both
-    endpoints' coefficients, each capped at the demand left.
+    endpoints' coefficients, each capped at the demand left when truncate.
     """
     g = inst.groups[group]
     left = g.target
@@ -120,7 +118,7 @@ def _cover_row(inst, group, covered):
             kept.append(eid)
             acc[e.u] = acc.get(e.u, 0) + e.weight
             acc[e.v] = acc.get(e.v, 0) + e.weight
-    return left, kept, tuple((v, min(left, w)) for v, w in sorted(acc.items()))
+    return left, kept, tuple((v, min(left, w) if truncate else w) for v, w in sorted(acc.items()))
 
 
 def build_kc_constraint(inst, group, suppressed):
@@ -146,7 +144,8 @@ class CappedCoverageCut(_CoverRow):
     discounting the demand by their total weight leaves a linear row in the
     remaining ("kept") edges that every covering vertex set satisfies: a
     kept edge the cover touches has a chosen endpoint, so its x_u + x_v is
-    at least 1.  Coefficients are truncated at rhs like the cover rows.
+    at least 1.  Coefficients are truncated at rhs like the cover rows,
+    except in the natural relaxation (truncation is valid for covers only).
     """
 
     group: int
@@ -158,7 +157,7 @@ class CappedCoverageCut(_CoverRow):
         return ("cap", self.group, self.kept)
 
 
-def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS):
+def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS, truncate=True):
     """Capped-demand row for the group, induced by and violated at x, or None.
 
     The separating split is exact: the row built from the edges with
@@ -166,7 +165,9 @@ def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS):
     sum of w_e * min(1, x_u + x_v) against the group target, so a None
     return certifies the group's capped demand is met at x.
     """
-    left, kept, coefficients = _cover_row(inst, group, lambda e: x[e.u] + x[e.v] >= 1.0)
+    left, kept, coefficients = _cover_row(
+        inst, group, lambda e: x[e.u] + x[e.v] >= 1.0, truncate
+    )
     supply = 0.0
     for eid in kept:
         e = inst.edges[eid]
@@ -181,12 +182,9 @@ def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS):
     )
 
 
-def _first_capped_violation(inst, x, tol: float = EPS_FEAS):
-    for gi in range(inst.r):
-        cut = capped_coverage_cut(inst, gi, x, tol)
-        if cut is not None:
-            return cut
-    return None
+def _capped_violations(inst, x, tol, truncate=True):
+    """Each group's capped-coverage row violated at x, lazily and in group order."""
+    return filter(None, (capped_coverage_cut(inst, gi, x, tol, truncate) for gi in range(inst.r)))
 
 
 def threshold_set(x) -> tuple[int, ...]:
@@ -269,14 +267,14 @@ def _log_cut(cut_log, cut, x):
         )
 
 
-def _cut_loop(inst, objective, pool, caps, cut_log, cap=None):
+def _cut_loop(inst, objective, pool, caps, cut_log, violated, cap=None):
     """Minimize objective over the pooled rows, appending violated rows until clean.
 
-    Grows pool (cover rows) and caps (capped-coverage rows) in place.  With a
-    cost cap the master's first row is costs . x <= cap, and an infeasible
-    master returns None; otherwise returns (x, value, value trace).  Clean
-    means the threshold separation passes and every group's capped demand is
-    met.
+    violated(x, tol) lists the rows to append at x, none when x is clean;
+    cover rows grow pool and capped-coverage rows caps, in place, at most
+    CUTS_PER_GROUP * r per call.  With a cost cap the master's first row is
+    costs . x <= cap and an infeasible master returns None; otherwise
+    returns (x, value, value trace).
     """
     lp = LinearProgram(objective)
     if cap is not None:
@@ -284,6 +282,7 @@ def _cut_loop(inst, objective, pool, caps, cut_log, cap=None):
     for row in list(pool.values()) + list(caps.values()):
         lp.add_row(row.coefficients, row.rhs, GE)
     cut_limit = CUTS_PER_GROUP * max(1, inst.r)
+    added = 0
     trace = []
     while True:
         out = lp_solve(lp)
@@ -294,31 +293,35 @@ def _cut_loop(inst, objective, pool, caps, cut_log, cap=None):
                 "master LP reported infeasible; the all-ones point should always fit"
             )
         trace.append(out.value)
-        sep = separate(inst, out.x, cost_cap=cap)
-        if sep.kind == "cost_cap":
-            raise SolverError("LP point violates the cost cap row it was solved with")
-        cut = sep.constraint
-        store = pool
-        if cut is None:
-            cut = _first_capped_violation(inst, out.x)
-            store = caps
-        if cut is None:
-            return out.x, out.value, trace
-        if cut.key() in store:
-            # the violated row is already in the master: numerical stall
-            if (
-                separate(inst, out.x, cost_cap=cap, tol=10.0 * EPS_FEAS).kind == "clean"
-                and _first_capped_violation(inst, out.x, 10.0 * EPS_FEAS) is None
-            ):
+        cuts = violated(out.x, EPS_FEAS)
+        fresh = [cut for cut in cuts if cut.key() not in pool and cut.key() not in caps]
+        if not fresh:
+            # every violated row is already in the master: numerical stall
+            if not cuts or not violated(out.x, 10.0 * EPS_FEAS):
                 return out.x, out.value, trace
             raise SolverError(
                 "cutting-plane loop stalled on a duplicate cut that stays violated"
             )
-        if len(trace) > cut_limit:  # every earlier solve added one cut
+        added += len(fresh)
+        if added > cut_limit:
             raise CutLimitExceeded(f"more than {cut_limit} cuts generated")
-        store[cut.key()] = cut
-        lp.add_row(cut.coefficients, cut.rhs, GE)
-        _log_cut(cut_log, cut, out.x)
+        for cut in fresh:
+            (caps if isinstance(cut, CappedCoverageCut) else pool)[cut.key()] = cut
+            lp.add_row(cut.coefficients, cut.rhs, GE)
+            _log_cut(cut_log, cut, out.x)
+
+
+def _strengthened(inst, cap=None):
+    """The strengthened separation: the first violated threshold cover row,
+    else the first violated truncated capped-coverage row, else nothing."""
+    def violated(x, tol):
+        sep = separate(inst, x, cost_cap=cap, tol=tol)
+        if sep.kind == "cost_cap":
+            raise SolverError("LP point violates the cost cap row it was solved with")
+        if sep.constraint is not None:
+            return [sep.constraint]
+        return list(islice(_capped_violations(inst, x, tol), 1))
+    return violated
 
 
 def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> FractionalSolution:
@@ -341,7 +344,7 @@ def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> Frac
     # the zero point's threshold set is empty: each group's unsuppressed row
     pool = {row.key(): row for row in threshold_rows(inst, zero)}
     caps: dict = {}
-    x, value, trace = _cut_loop(inst, inst.costs, pool, caps, cut_log)
+    x, value, trace = _cut_loop(inst, inst.costs, pool, caps, cut_log, _strengthened(inst))
     if mode == "direct":
         return FractionalSolution(
             x=x,
@@ -353,10 +356,14 @@ def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> Frac
     # probes may reuse the direct loop's rows; sharing its pool keeps the
     # search's budget from undercutting the direct objective, which keeps the
     # two modes' reports adjacent.
+
+    def probe(cap):
+        return _cut_loop(inst, zero, pool, caps, cut_log, _strengthened(inst, cap), cap)
+
     lo, hi = 0, inst.total_cost
     while lo < hi:
         mid = (lo + hi) // 2
-        if _cut_loop(inst, zero, pool, caps, cut_log, mid) is None:
+        if probe(mid) is None:
             lo = mid + 1
         else:
             hi = mid
@@ -364,7 +371,7 @@ def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> Frac
     # and a cap once infeasible stays infeasible as the pool grows, so walk
     # upward until the final pool admits a clean point
     while lo <= inst.total_cost:
-        found = _cut_loop(inst, zero, pool, caps, cut_log, lo)
+        found = probe(lo)
         if found is not None:
             x = found[0]
             return FractionalSolution(
@@ -378,24 +385,17 @@ def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> Frac
 
 
 def solve_natural_lp(inst: Instance) -> FractionalSolution:
-    """Natural relaxation with one variable per edge; weak but cheap.
+    """Natural relaxation, solved as its projection onto the vertex variables.
 
-    Edge e may count toward its groups only up to x_u + x_v; on stars this
-    pays 1/degree while any integral cover pays a full vertex, which is the
-    gap the strengthened relaxation closes.  Returns the vertex part only.
+    The cutting-plane loop appends, each round, every group's untruncated
+    capped-coverage row violated at the current point; a clean point meets
+    sum of w_e * min(1, x_u + x_v) >= target in every group, which is the
+    natural relaxation's edge-variable LP with the edge variables projected
+    out.  On stars it pays 1/degree while any integral cover pays a full
+    vertex, which is the gap the strengthened relaxation closes.
     """
-    n, m = inst.n, inst.m
-    lp = LinearProgram(list(inst.costs) + [0.0] * m)
-    for eid, e in enumerate(inst.edges):
-        lp.add_row({e.u: 1.0, e.v: 1.0, n + eid: -1.0}, 0.0, GE)
-    for g in inst.groups:
-        lp.add_row({n + eid: float(inst.edges[eid].weight) for eid in g.edges},
-                   float(g.target), GE)
-    out = lp_solve(lp)
-    if out.status != "optimal":
-        raise SolverError("natural relaxation reported infeasible on a valid instance")
-    return FractionalSolution(
-        x=out.x[:n],
-        objective=out.value,
-        certificate=(),
+    x, value, _ = _cut_loop(
+        inst, inst.costs, {}, {}, None,
+        lambda x, tol: list(_capped_violations(inst, x, tol, truncate=False)),
     )
+    return FractionalSolution(x=x, objective=value, certificate=())

@@ -14,10 +14,12 @@ change, not a test fix.
 import functools
 import itertools
 import math
+import os
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -326,9 +328,13 @@ def _brute_force_set_cover(sc: SetCoverInstance) -> int:
     return best
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def _run_cli_process(argv):
     return subprocess.run(
         [sys.executable, "-m", "pvcover", *argv],
         capture_output=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
     )

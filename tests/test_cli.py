@@ -1,7 +1,9 @@
 """CLI surface: exit codes, output shape, file round trips, determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +290,12 @@ def test_gap_table(capsys):
     assert lines[2] == "5 0.2 1 1"
 
 
+def test_gap_table_degree_1000(capsys):
+    code, out, err = run_cli(capsys, "gap", "--degrees", "1000")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "1000 0.001 1 1"
+
+
 def test_bench_to_file(capsys, tmp_path):
     out_path = tmp_path / "bench.csv"
     code, out, _ = run_cli(
@@ -355,10 +363,13 @@ def test_generate_setcover_reduce(capsys, tmp_path):
 
 # ---------------------------------------------------------------- determinism
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def _run_proc(args):
     return subprocess.run(
         [sys.executable, "-m", "pvcover", *args],
-        capture_output=True, timeout=120,
+        capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC},
     )
 
 def test_cli_byte_identical_across_processes(tmp_path, star5):

@@ -71,6 +71,13 @@ def test_exact_size_limit():
     assert pv.exact_solve(inst, limit=12).cost >= 0
 
 
+def test_exact_deep_search_needs_no_recursion():
+    # one decision level per vertex: a 1001-vertex star is deeper than
+    # CPython's default recursion limit
+    res = pv.exact_solve(pv.generate_star(1000), limit=1001)
+    assert res == pv.ExactResult(cost=1, chosen=(0,), nodes=2003)
+
+
 def test_exact_prunes_but_stays_correct():
     # node count must stay well under the full 2^(n+1) tree on a real instance
     inst = random_instances(1, n=12, m=20, r=4, seed0=8)[0]

@@ -349,11 +349,41 @@ def test_scaling_costs_scales_the_value():
 
 
 def test_natural_lp_star_values():
-    for degree in (2, 5, 20):
+    for degree in (2, 5, 20, 1000):
         star = pv.generate_star(degree)
         assert pv.solve_natural_lp(star).objective == pytest.approx(
             1.0 / degree, abs=1e-6
         )
+
+
+def _edge_variable_natural_lp(inst):
+    """Reference: the natural relaxation with one variable z_e per edge,
+    x_u + x_v >= z_e per edge and sum of w_e * z_e >= target per group,
+    everything boxed in [0, 1]."""
+    n = inst.n
+    lp = pv.LinearProgram(list(inst.costs) + [0.0] * inst.m)
+    for eid, e in enumerate(inst.edges):
+        lp.add_row({e.u: 1.0, e.v: 1.0, n + eid: -1.0}, 0.0, pv.GE)
+    for g in inst.groups:
+        lp.add_row({n + eid: float(inst.edges[eid].weight) for eid in g.edges},
+                   float(g.target), pv.GE)
+    out = pv.lp_solve(lp)
+    assert out.status == "optimal"
+    return out.value
+
+
+def test_natural_lp_matches_edge_variable_formulation():
+    """The vertex projection solved by the cut loop against the edge LP."""
+    cfg = pv.GeneratorConfig(weight_range=(1, 3))
+    family = []
+    for s in range(30):
+        inst = pv.generate_random(16, 24, 4, seed=s, config=cfg)
+        family.append(pv.with_overlapping_groups(inst, 0.2, s) if s % 2 else inst)
+    family += [pv.generate_star(d) for d in (2, 5, 20, 100)]
+    for inst in family:
+        frac = pv.solve_natural_lp(inst)
+        assert len(frac.x) == inst.n
+        assert frac.objective == pytest.approx(_edge_variable_natural_lp(inst), abs=1e-9)
 
 
 def test_natural_lp_single_edge(lopsided_edge):
