@@ -1,15 +1,20 @@
 """Small dense LP kernel: min c.x over rows a.x >= b or a.x <= b with 0 <= x <= 1.
 
-Bounded-variable primal simplex, Bland's anti-cycling rule, two phases with
-artificial variables, and a fresh basis factorization every iteration.  Every
-lower bound is 0: structurals live in [0, 1], slacks and artificials in
-[0, inf).  Built for tiny cutting-plane masters where determinism matters more
-than speed.
+Bounded dual simplex with Bland's rule on both sides and an explicit basis
+inverse.  Columns are the n structurals, in [0, 1], and one slack per row, in
+[0, inf): a.x - s = b for a GE row, a.x + s = b for an LE row; there are no
+artificials and no phase 1.  A first solve starts from the slack basis with
+every structural at the bound its cost favours, which is dual feasible.  A
+LinearProgram keeps the basis of its last solve; rows are only appended and
+right-hand sides only changed, never the objective, so that basis plus the
+new rows' slacks stays dual feasible and the next solve resumes from it.
+Built for tiny cutting-plane masters where determinism matters more than
+speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,8 +26,10 @@ __all__ = ["GE", "LE", "Row", "LinearProgram", "LpOutcome", "lp_solve"]
 GE = ">="
 LE = "<="
 
-_PIVOT_EPS = 1e-9  # entries smaller than this never price or pivot
+_PIVOT_EPS = 1e-9  # entries and reduced costs smaller than this never price or pivot
+_BOUND_TOL = 1e-9  # basic values this far outside their bounds must leave
 _RATIO_TIE = 1e-9  # ratio-test ties within this pick the smallest variable index
+_REFACTOR = 32  # pivots between fresh factorizations of the basis inverse
 
 
 @dataclass(frozen=True)
@@ -37,16 +44,21 @@ class LpOutcome:
     status: str  # "optimal" or "infeasible"
     value: float | None
     x: tuple[float, ...] | None
+    pivots: int  # simplex pivots this solve took
 
 
 class LinearProgram:
-    """An objective plus an append-only row list over [0, 1]-boxed variables."""
+    """An objective plus an append-only row list over [0, 1]-boxed variables.
+
+    It keeps the basis its last lp_solve ended on for the next to resume from.
+    """
 
     def __init__(self, objective):
         self.objective = [float(c) for c in objective]
         if not self.objective:
             raise InputError("linear program needs at least one variable")
         self.rows: list[Row] = []
+        self._basis = None  # (basic columns, at-upper flags) of the last solve
 
     @property
     def nvars(self) -> int:
@@ -68,116 +80,109 @@ class LinearProgram:
         self.rows.append(Row(tuple(cleaned), float(rhs), sense))
         return self
 
-
-def _simplex(A, b, upper, cost, basis, at_upper, cap, tag):
-    """Run bounded-variable simplex until optimal for the given cost vector.
-
-    Every variable lies in [0, upper].  basis lists the basic variables (one
-    per row) and at_upper marks nonbasic variables at their upper bound; both
-    are updated in place and returned with the optimal basic point.
-    """
-    m = A.shape[0]
-    movable = upper > 0
-    for _ in range(cap):
-        x = np.where(at_upper, upper, 0.0)
-        x[basis] = 0.0
-        B = A[:, basis]
-        try:
-            xb = np.linalg.solve(B, b - A @ x)
-            y = np.linalg.solve(B.T, cost[basis])
-        except np.linalg.LinAlgError:
-            raise SolverError("singular working basis in simplex") from None
-        x[basis] = xb
-        d = cost - y @ A
-        d[basis] = 0.0  # basic variables never price
-        eligible = movable & (
-            (~at_upper & (d < -_PIVOT_EPS)) | (at_upper & (d > _PIVOT_EPS))
-        )
-        candidates = np.flatnonzero(eligible)
-        if candidates.size == 0:
-            return basis, at_upper, x
-        j = int(candidates[0])  # Bland: smallest eligible index enters
-        sign = -1.0 if at_upper[j] else 1.0
-        w = np.linalg.solve(B, A[:, j])
-
-        # step t moves x_j by sign*t and each basic value by -sign*w*t
-        step = upper[j]
-        leave = -1
-        leave_at_upper = False
-        for k in range(m):
-            delta = -sign * w[k]
-            if delta < -_PIVOT_EPS:
-                t = max(xb[k], 0.0) / -delta
-                hits_upper = False
-            elif delta > _PIVOT_EPS:
-                ub = upper[basis[k]]
-                if not np.isfinite(ub):
-                    continue
-                t = max(ub - xb[k], 0.0) / delta
-                hits_upper = True
-            else:
-                continue
-            if t < step - _RATIO_TIE:
-                step = t
-                leave = k
-                leave_at_upper = hits_upper
-            elif t <= step + _RATIO_TIE and leave >= 0 and basis[k] < basis[leave]:
-                step = min(step, t)
-                leave = k
-                leave_at_upper = hits_upper
-        if leave < 0 and not np.isfinite(step):
-            raise SolverError("unbounded improving direction in simplex")
-        if leave < 0:
-            at_upper[j] = not at_upper[j]
-        else:
-            gone = basis[leave]
-            at_upper[gone] = leave_at_upper
-            basis[leave] = j
-            at_upper[j] = False
-    raise LpIterationLimit(f"simplex exceeded {cap} iterations in {tag}")
+    def set_rhs(self, i: int, rhs) -> "LinearProgram":
+        """Replace row i's right-hand side; the kept basis stays a valid start."""
+        self.rows[i] = replace(self.rows[i], rhs=float(rhs))
+        return self
 
 
 def lp_solve(lp: LinearProgram) -> LpOutcome:
     """Solve lp to proven optimality or report infeasibility.
 
-    Structural variables live in [0, 1]; the returned point is clamped to the
-    box.  Raises LpIterationLimit past 50 * (variables + rows) + 200 pivots
-    per phase, and SolverError on internal numerical failures.
+    Resumes from the basis lp kept, with the slacks of rows appended since
+    basic, or starts from the slack basis.  Each pivot, the out-of-bounds
+    basic variable of smallest index leaves and the minimum-ratio column
+    |d_j| / |alpha_rj| enters, ties going to the smallest index.  B^-1 is
+    carried by rank-1 updates and refactored every _REFACTOR pivots and
+    before every verdict.  The returned point is clamped to the box.  Raises
+    LpIterationLimit past 50 * (variables + rows) + 200 pivots, and
+    SolverError on internal numerical failures.
     """
     n = lp.nvars
     m = len(lp.rows)
-    c_struct = np.array(lp.objective, dtype=float)
-    # columns: structural | slack per row | artificial per row
-    nn = n + 2 * m
-    A = np.zeros((m, nn))
+    A = np.zeros((m, n + m))
     b = np.zeros(m)
     for i, row in enumerate(lp.rows):
         for j, a in row.coeffs:
             A[i, j] = a
         A[i, n + i] = 1.0 if row.sense == LE else -1.0
         b[i] = row.rhs
-    art = n + m + np.arange(m)
-    A[np.arange(m), art] = np.where(b >= 0.0, 1.0, -1.0)
-
-    upper = np.full(nn, np.inf)
+    upper = np.full(n + m, np.inf)
     upper[:n] = 1.0
+    cost = np.zeros(n + m)
+    cost[:n] = lp.objective
+
+    basis, at_upper = lp._basis or (np.zeros(0, dtype=int), np.zeros(n, dtype=bool))
+    basis = np.concatenate([basis, np.arange(n + len(basis), n + m)])
+    at_upper = np.concatenate([at_upper, np.zeros(n + m - at_upper.size, dtype=bool)])
+    nonbasic = np.ones(n + m, dtype=bool)
+    nonbasic[basis] = False
+
     cap = 50 * (n + m) + 200
+    pivots = 0
+    since = _REFACTOR  # pivots since B^-1 was factored; _REFACTOR asks for a fresh one
+    while True:
+        if since >= _REFACTOR:
+            try:
+                Binv = np.linalg.inv(A[:, basis])
+            except np.linalg.LinAlgError:
+                raise SolverError("singular working basis in simplex") from None
+            since = 0
+        d = cost - (cost[basis] @ Binv) @ A
+        d[basis] = 0.0  # basic variables never price
+        if since == 0:
+            # seat each nonbasic structural at the bound its reduced cost
+            # favours: on a first solve that is the bound its cost favours,
+            # later it only mends round-off; a slack has no upper bound to take
+            at_upper[:n] = (d[:n] < -_PIVOT_EPS) | (at_upper[:n] & (d[:n] <= _PIVOT_EPS))
+            if np.any(d[n:] < -_PIVOT_EPS):
+                raise SolverError("unbounded improving direction in simplex")
+        x = np.where(at_upper, upper, 0.0)
+        x[basis] = 0.0
+        xb = Binv @ (b - A @ x)
+        ub = upper[basis]
+        out = np.flatnonzero((xb < -_BOUND_TOL) | (xb > ub + _BOUND_TOL))
+        if out.size == 0:
+            if since:
+                since = _REFACTOR
+                continue
+            x[basis] = xb
+            break
+        r = int(out[np.argmin(basis[out])])  # Bland: smallest variable index leaves
+        to_upper = bool(xb[r] > ub[r])
+        alpha = Binv[r] @ A
+        # > 0 where moving column j off its bound raises x_Br
+        raises = np.where(at_upper, alpha, -alpha)
+        eligible = nonbasic & ((-raises if to_upper else raises) > _PIVOT_EPS)
+        candidates = np.flatnonzero(eligible)
+        if candidates.size == 0:
+            if since:
+                since = _REFACTOR
+                continue
+            # x_Br cannot reach its bound: row r of B^-1 is a Farkas ray
+            lp._basis = (basis, at_upper)
+            return LpOutcome("infeasible", None, None, pivots)
+        ratio = np.abs(d[candidates]) / np.abs(alpha[candidates])
+        q = int(candidates[np.argmax(ratio <= ratio.min() + _RATIO_TIE)])
+        pivots += 1
+        if pivots > cap:
+            raise LpIterationLimit(f"simplex exceeded {cap} pivots")
+        col = Binv @ A[:, q]
+        pivot_row = Binv[r] / col[r]
+        Binv -= np.outer(col, pivot_row)
+        Binv[r] = pivot_row
+        gone = basis[r]
+        at_upper[gone] = to_upper
+        nonbasic[gone] = True
+        basis[r] = q
+        at_upper[q] = False
+        nonbasic[q] = False
+        since += 1
 
-    phase1 = np.zeros(nn)
-    phase1[art] = 1.0
-    basis, at_upper, x = _simplex(
-        A, b, upper, phase1, list(art), np.zeros(nn, dtype=bool), cap, "phase1"
-    )
-    if float(phase1 @ x) > EPS_FEAS * (1.0 + float(np.abs(b).sum())):
-        return LpOutcome("infeasible", None, None)
-
-    upper[art] = 0.0  # artificials are locked at zero from here on
-    cost = np.zeros(nn)
-    cost[:n] = c_struct
-    _, _, x = _simplex(A, b, upper, cost, basis, at_upper, cap, "phase2")
+    lp._basis = (basis, at_upper)
     xs = np.clip(x[:n], 0.0, 1.0)
     _audit_rows(lp, xs, b)
-    return LpOutcome("optimal", float(c_struct @ xs), tuple(float(v) for v in xs))
+    return LpOutcome("optimal", float(cost[:n] @ xs), tuple(float(v) for v in xs), pivots)
 
 
 def _audit_rows(lp, xs, b):

@@ -267,20 +267,30 @@ def _log_cut(cut_log, cut, x):
         )
 
 
-def _cut_loop(inst, objective, pool, caps, cut_log, violated, cap=None):
-    """Minimize objective over the pooled rows, appending violated rows until clean.
-
-    violated(x, tol) lists the rows to append at x, none when x is clean;
-    cover rows grow pool and capped-coverage rows caps, in place, at most
-    CUTS_PER_GROUP * r per call.  With a cost cap the master's first row is
-    costs . x <= cap and an infeasible master returns None; otherwise
-    returns (x, value, value trace).
-    """
+def _master(objective, rows, cost_row=None):
+    """A master LP over rows, after the cost-cap row cost_row . x <= 0 when given."""
     lp = LinearProgram(objective)
-    if cap is not None:
-        lp.add_row(enumerate(inst.costs), cap, LE)
-    for row in list(pool.values()) + list(caps.values()):
+    if cost_row is not None:
+        lp.add_row(enumerate(cost_row), 0, LE)
+    for row in rows:
         lp.add_row(row.coefficients, row.rhs, GE)
+    return lp
+
+
+def _cut_loop(inst, lp, pool, caps, cut_log, violated, cap=None):
+    """Minimize over the master lp, appending violated rows until clean.
+
+    lp holds every row of pool and caps and keeps the basis of its last
+    solve, so each round's solve resumes from the previous optimum.
+    violated(x, tol) lists the rows to append at x, none when x is clean;
+    cover rows grow pool and capped-coverage rows caps, in place, and the
+    master, at most CUTS_PER_GROUP * r per call.  With a cost cap the
+    master's first row is costs . x <= rhs: it is set to cap, and an
+    infeasible master returns None; otherwise returns (x, value, value
+    trace).
+    """
+    if cap is not None:
+        lp.set_rhs(0, cap)
     cut_limit = CUTS_PER_GROUP * max(1, inst.r)
     added = 0
     trace = []
@@ -331,12 +341,14 @@ def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> Frac
     the cutting-plane loop on the true cost objective, adding violated rows
     until the point is clean; mode "direct" returns that point.  mode "delta"
     then binary-searches the smallest integer cost cap whose capped
-    feasibility program admits a clean point; each probe reuses every row
-    pooled so far (the direct loop's, then earlier probes') and appends the
-    new cuts it finds.  Clean means the threshold separation passes and every
-    group's capped demand is met, so a returned point is both roundable and
-    at least as expensive as the natural relaxation's optimum.  Both modes
-    return a FractionalSolution whose certificate re-verifies at that point.
+    feasibility program admits a clean point; the probes share one master
+    that holds every row pooled so far (the direct loop's, then earlier
+    probes'), and each appends the new cuts it finds and resumes from the
+    basis the previous probe ended on.  Clean means the threshold separation
+    passes and every group's capped demand is met, so a returned point is
+    both roundable and at least as expensive as the natural relaxation's
+    optimum.  Both modes return a FractionalSolution whose certificate
+    re-verifies at that point.
     """
     if mode not in ("direct", "delta"):
         raise InputError(f"unknown relaxation mode {mode!r}")
@@ -344,7 +356,9 @@ def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> Frac
     # the zero point's threshold set is empty: each group's unsuppressed row
     pool = {row.key(): row for row in threshold_rows(inst, zero)}
     caps: dict = {}
-    x, value, trace = _cut_loop(inst, inst.costs, pool, caps, cut_log, _strengthened(inst))
+    x, value, trace = _cut_loop(
+        inst, _master(inst.costs, pool.values()), pool, caps, cut_log, _strengthened(inst)
+    )
     if mode == "direct":
         return FractionalSolution(
             x=x,
@@ -355,10 +369,12 @@ def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> Frac
     # Every pooled row is valid for the instance independent of any cap, so
     # probes may reuse the direct loop's rows; sharing its pool keeps the
     # search's budget from undercutting the direct objective, which keeps the
-    # two modes' reports adjacent.
+    # two modes' reports adjacent.  With a zero objective every basis is dual
+    # feasible, so a probe can resume from the last whatever its cap.
+    master = _master(zero, list(pool.values()) + list(caps.values()), inst.costs)
 
     def probe(cap):
-        return _cut_loop(inst, zero, pool, caps, cut_log, _strengthened(inst, cap), cap)
+        return _cut_loop(inst, master, pool, caps, cut_log, _strengthened(inst, cap), cap)
 
     lo, hi = 0, inst.total_cost
     while lo < hi:
@@ -395,7 +411,7 @@ def solve_natural_lp(inst: Instance) -> FractionalSolution:
     vertex, which is the gap the strengthened relaxation closes.
     """
     x, value, _ = _cut_loop(
-        inst, inst.costs, {}, {}, None,
+        inst, LinearProgram(inst.costs), {}, {}, None,
         lambda x, tol: list(_capped_violations(inst, x, tol, truncate=False)),
     )
     return FractionalSolution(x=x, objective=value, certificate=())

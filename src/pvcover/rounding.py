@@ -220,13 +220,27 @@ def precondition_margins(inst: Instance, x) -> tuple[tuple[int, float], ...]:
     )
 
 
-def _prune(inst, chosen) -> tuple[int, ...]:
-    """Drop redundant vertices, most expensive first; ties drop lower id first."""
-    kept = set(chosen)
-    for v in sorted(chosen, key=lambda v: (-inst.costs[v], v)):
-        trial = kept - {v}
-        if is_feasible(inst, trial):
-            kept = trial
+def _prune(inst, union: VertexSelection) -> tuple[int, ...]:
+    """Drop redundant vertices of a feasible union, most expensive first, lower id on ties.
+
+    One covered-weights vector is kept: dropping v loses, in each group, the
+    weight of the member edges at v whose other end is no longer kept, so a
+    drop is tested in O(deg v).
+    """
+    index = inst.incidence
+    kept = set(union.chosen)
+    covered = list(union.covered)
+    for v in sorted(union.chosen, key=lambda v: (-inst.costs[v], v)):
+        lost: dict[int, int] = {}
+        for eid in index.vertex_edges[v]:
+            e = inst.edges[eid]
+            if (e.v if e.u == v else e.u) not in kept:
+                for gi in index.edge_groups[eid]:
+                    lost[gi] = lost.get(gi, 0) + e.weight
+        if all(covered[gi] - w >= inst.groups[gi].target for gi, w in lost.items()):
+            kept.remove(v)
+            for gi, w in lost.items():
+                covered[gi] -= w
     return tuple(sorted(kept))
 
 
@@ -261,7 +275,7 @@ def solve_rounded(
             pruned_cost = None
             pruned_chosen = None
             if prune:
-                pruned_chosen = _prune(inst, union.chosen)
+                pruned_chosen = _prune(inst, union)
                 pruned_cost = sum(inst.costs[v] for v in pruned_chosen)
             report = SolveReport(
                 seed=cfg.seed,

@@ -58,10 +58,16 @@ class Family:
     # (n, m, r, seed) of an instance whose solution keeps some vertex
     # strictly inside (0, threshold), so rounds genuinely vary
     variance_case: tuple[int, int, int, int]
+    # more such instances: which optimal vertex the LP reaches decides
+    # whether one rounds randomly, and its alternative optima may not
+    extra_variance_cases: tuple[tuple[int, int, int, int], ...] = ()
 
 
 FAMILIES = {
-    "base": Family(weight_max=1, overlap=0.0, variance_case=(12, 26, 2, 27)),
+    "base": Family(
+        weight_max=1, overlap=0.0, variance_case=(12, 26, 2, 27),
+        extra_variance_cases=((12, 26, 2, 48),),
+    ),
     "weighted": Family(weight_max=5, overlap=0.0, variance_case=(14, 20, 4, 11)),
     "overlapping": Family(weight_max=1, overlap=0.35, variance_case=(14, 20, 4, 22)),
 }
@@ -121,6 +127,7 @@ def check_round_cost(name):
     fam = FAMILIES[name]
     cases = [make_instance(*fam.variance_case, fam)]
     cases += [inst for inst, _ in family_solutions(name)[:2]]
+    cases += [make_instance(*case, fam) for case in fam.extra_variance_cases]
     trials = 50000
     saw_variance = False
     for idx, inst in enumerate(cases):

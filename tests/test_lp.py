@@ -142,12 +142,63 @@ def test_lp_objective_constant_shift_free():
     assert out.value == pytest.approx(0.0, abs=1e-12)
 
 
+def test_lp_resolve_after_each_appended_row():
+    # one LinearProgram re-solved after every appended row resumes from its
+    # last basis; each answer must still match the oracle on the rows so far,
+    # and solving it once more unchanged takes no pivot
+    rng = np.random.default_rng(20240817)
+    checked = 0
+    for _ in range(60):
+        objective, rows = random_lp(rng)
+        lp = LinearProgram(list(objective))
+        for k, (coeffs, rhs, sense) in enumerate(rows, start=1):
+            lp.add_row(dict(enumerate(coeffs)), rhs, sense)
+            got = lp_solve(lp)
+            want_status, want_value = enumerate_optimum(objective, rows[:k])
+            assert got.status == want_status
+            if want_status == "optimal":
+                assert got.value == pytest.approx(want_value, abs=1e-6)
+            again = lp_solve(lp)
+            assert again.pivots == 0
+            assert (again.status, again.value, again.x) == (got.status, got.value, got.x)
+            checked += 1
+    assert checked >= 150
+
+
+def test_lp_resolve_as_row_zero_rhs_moves():
+    # the cost-cap probe pattern: row 0's right-hand side swings across
+    # feasible and infeasible values and each solve resumes the last basis
+    rng = np.random.default_rng(99)
+    statuses = set()
+    for _ in range(20):
+        objective, rows = random_lp(rng)
+        weights = rng.integers(1, 4, size=len(objective)).astype(float)
+        for obj in (objective, np.zeros_like(objective)):
+            lp = LinearProgram(list(obj)).add_row(dict(enumerate(weights)), 0.0, LE)
+            for coeffs, rhs, sense in rows:
+                lp.add_row(dict(enumerate(coeffs)), rhs, sense)
+            for cap in (0.0, 3.0, -1.0, 7.0, 1.0, 5.0, 0.0, 2.0):
+                lp.set_rhs(0, cap)
+                got = lp_solve(lp)
+                want_status, want_value = enumerate_optimum(
+                    obj, [(weights, cap, LE)] + rows
+                )
+                assert got.status == want_status
+                if want_status == "optimal":
+                    assert got.value == pytest.approx(want_value, abs=1e-6)
+                statuses.add(got.status)
+    assert statuses == {"optimal", "infeasible"}
+
+
 def test_lp_ladder_values():
-    # the longest pivot sequences in the suite: a 40/80/8 natural LP and the
-    # cutting-plane masters of its strengthened relaxation
+    # the longest pivot sequences in the suite: 40/80/8 and 80/200/16 natural
+    # LPs and the cutting-plane masters of their strengthened relaxations
     inst = pv.generate_random(40, 80, 8, 1, pv.GeneratorConfig(weight_range=(1, 3)))
     assert pv.solve_natural_lp(inst).objective == pytest.approx(39.125, abs=1e-6)
     assert pv.solve_relaxation(inst).objective == pytest.approx(40.0, abs=1e-6)
+    inst = pv.generate_random(80, 200, 16, 1, pv.GeneratorConfig(weight_range=(1, 3)))
+    assert pv.solve_natural_lp(inst).objective == pytest.approx(79.878655, abs=1e-6)
+    assert pv.solve_relaxation(inst).objective == pytest.approx(79.980241, abs=1e-6)
 
 
 def test_add_row_validation():
