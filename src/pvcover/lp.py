@@ -5,16 +5,16 @@ inverse.  Columns are the n structurals, in [0, 1], and one slack per row, in
 [0, inf): a.x - s = b for a GE row, a.x + s = b for an LE row; there are no
 artificials and no phase 1.  A first solve starts from the slack basis with
 every structural at the bound its cost favours, which is dual feasible.  A
-LinearProgram keeps the basis of its last solve; rows are only appended and
-right-hand sides only changed, never the objective, so that basis plus the
-new rows' slacks stays dual feasible and the next solve resumes from it.
+LinearProgram keeps the basis of its last solve; rows are only appended,
+never changed, and the objective stays fixed, so that basis plus the new
+rows' slacks stays dual feasible and the next solve resumes from it.
 Built for tiny cutting-plane masters where determinism matters more than
 speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,11 +80,6 @@ class LinearProgram:
         self.rows.append(Row(tuple(cleaned), float(rhs), sense))
         return self
 
-    def set_rhs(self, i: int, rhs) -> "LinearProgram":
-        """Replace row i's right-hand side; the kept basis stays a valid start."""
-        self.rows[i] = replace(self.rows[i], rhs=float(rhs))
-        return self
-
 
 def lp_solve(lp: LinearProgram) -> LpOutcome:
     """Solve lp to proven optimality or report infeasibility.
@@ -111,6 +106,8 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     upper[:n] = 1.0
     cost = np.zeros(n + m)
     cost[:n] = lp.objective
+    # round-off in a slack's reduced cost grows with the costs' scale
+    slack_tol = _PIVOT_EPS * max(1.0, float(np.abs(cost).max()))
 
     basis, at_upper = lp._basis or (np.zeros(0, dtype=int), np.zeros(n, dtype=bool))
     basis = np.concatenate([basis, np.arange(n + len(basis), n + m)])
@@ -135,7 +132,7 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
             # favours: on a first solve that is the bound its cost favours,
             # later it only mends round-off; a slack has no upper bound to take
             at_upper[:n] = (d[:n] < -_PIVOT_EPS) | (at_upper[:n] & (d[:n] <= _PIVOT_EPS))
-            if np.any(d[n:] < -_PIVOT_EPS):
+            if np.any(d[n:] < -slack_tol):
                 raise SolverError("unbounded improving direction in simplex")
         x = np.where(at_upper, upper, 0.0)
         x[basis] = 0.0

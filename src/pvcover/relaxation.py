@@ -15,13 +15,14 @@ cover rows, they pin the strengthened value at or above the natural one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
 from .constants import EPS_FEAS, ROUNDING_THRESHOLD
 from .errors import CutLimitExceeded, InputError, SolverError
 from .instance import Instance
-from .lp import GE, LE, LinearProgram, lp_solve
+from .lp import GE, LinearProgram, lp_solve
 
 __all__ = [
     "KnapsackCoverConstraint",
@@ -206,20 +207,16 @@ def threshold_rows(inst, x):
 
 @dataclass(frozen=True)
 class Separation:
-    kind: str  # "clean", "violated" or "cost_cap"
+    kind: str  # "clean" or "violated"
     constraint: KnapsackCoverConstraint | None
 
 
-def separate(inst, x, cost_cap=None, tol: float = EPS_FEAS) -> Separation:
-    """Check the cost cap, then each group's threshold-induced cover row.
+def separate(inst, x, tol: float = EPS_FEAS) -> Separation:
+    """Check each group's threshold-induced cover row at x.
 
     Returns the first violated row by group index, or a clean verdict.  Only
     the suppressed set induced by the rounding threshold is ever examined.
     """
-    if cost_cap is not None:
-        spend = sum(c * xv for c, xv in zip(inst.costs, x))
-        if spend > cost_cap + tol:
-            return Separation("cost_cap", None)
     for row in threshold_rows(inst, x):
         if not row.satisfied_by(x, tol):
             return Separation("violated", row)
@@ -230,9 +227,9 @@ def separate(inst, x, cost_cap=None, tol: float = EPS_FEAS) -> Separation:
 class FractionalSolution:
     """A clean fractional point with the rows it was verified against.
 
-    objectives traces the master objective after each direct-mode LP solve
-    (empty in cost-cap search mode); cost_cap is the smallest feasible
-    integer budget found by that search, None in direct mode.
+    objectives traces the master objective after each LP solve; cost_cap is
+    the smallest integer budget the relaxation admits, set in delta mode
+    only (None in direct mode).
     """
 
     x: tuple[float, ...]
@@ -267,38 +264,24 @@ def _log_cut(cut_log, cut, x):
         )
 
 
-def _master(objective, rows, cost_row=None):
-    """A master LP over rows, after the cost-cap row cost_row . x <= 0 when given."""
-    lp = LinearProgram(objective)
-    if cost_row is not None:
-        lp.add_row(enumerate(cost_row), 0, LE)
-    for row in rows:
-        lp.add_row(row.coefficients, row.rhs, GE)
-    return lp
+def _cut_loop(inst, pool, cut_log, violated):
+    """Minimize costs . x over the rows of pool, appending violated rows until clean.
 
-
-def _cut_loop(inst, lp, pool, caps, cut_log, violated, cap=None):
-    """Minimize over the master lp, appending violated rows until clean.
-
-    lp holds every row of pool and caps and keeps the basis of its last
-    solve, so each round's solve resumes from the previous optimum.
     violated(x, tol) lists the rows to append at x, none when x is clean;
-    cover rows grow pool and capped-coverage rows caps, in place, and the
-    master, at most CUTS_PER_GROUP * r per call.  With a cost cap the
-    master's first row is costs . x <= rhs: it is set to cap, and an
-    infeasible master returns None; otherwise returns (x, value, value
-    trace).
+    cover rows grow pool in place, and at most CUTS_PER_GROUP * r rows are
+    appended.  The master keeps the basis of its last solve, so each round's
+    solve resumes from the previous optimum.  Returns (x, value, value trace).
     """
-    if cap is not None:
-        lp.set_rhs(0, cap)
+    lp = LinearProgram(inst.costs)
+    for row in pool.values():
+        lp.add_row(row.coefficients, row.rhs, GE)
+    caps: dict = {}
     cut_limit = CUTS_PER_GROUP * max(1, inst.r)
     added = 0
     trace = []
     while True:
         out = lp_solve(lp)
         if out.status != "optimal":
-            if cap is not None:
-                return None
             raise SolverError(
                 "master LP reported infeasible; the all-ones point should always fit"
             )
@@ -321,13 +304,11 @@ def _cut_loop(inst, lp, pool, caps, cut_log, violated, cap=None):
             _log_cut(cut_log, cut, out.x)
 
 
-def _strengthened(inst, cap=None):
+def _strengthened(inst):
     """The strengthened separation: the first violated threshold cover row,
     else the first violated truncated capped-coverage row, else nothing."""
     def violated(x, tol):
-        sep = separate(inst, x, cost_cap=cap, tol=tol)
-        if sep.kind == "cost_cap":
-            raise SolverError("LP point violates the cost cap row it was solved with")
+        sep = separate(inst, x, tol=tol)
         if sep.constraint is not None:
             return [sep.constraint]
         return list(islice(_capped_violations(inst, x, tol), 1))
@@ -337,67 +318,32 @@ def _strengthened(inst, cap=None):
 def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> FractionalSolution:
     """Solve the strengthened relaxation by lazy row generation.
 
-    Both modes seed the pool with each group's unsuppressed cover row and run
-    the cutting-plane loop on the true cost objective, adding violated rows
-    until the point is clean; mode "direct" returns that point.  mode "delta"
-    then binary-searches the smallest integer cost cap whose capped
-    feasibility program admits a clean point; the probes share one master
-    that holds every row pooled so far (the direct loop's, then earlier
-    probes'), and each appends the new cuts it finds and resumes from the
-    basis the previous probe ended on.  Clean means the threshold separation
-    passes and every group's capped demand is met, so a returned point is
-    both roundable and at least as expensive as the natural relaxation's
-    optimum.  Both modes return a FractionalSolution whose certificate
-    re-verifies at that point.
+    The pool starts with each group's unsuppressed cover row; the
+    cutting-plane loop minimizes the true cost over it, adding violated rows
+    until the point is clean.  Clean means the threshold separation passes
+    and every group's capped demand is met, so the point is both roundable
+    and at least as expensive as the natural relaxation's optimum; its
+    certificate re-verifies at it.  Both modes return that point.
+
+    mode "delta" also reports cost_cap, the relaxation's feasibility form:
+    the smallest integer budget delta such that some clean point of the
+    final master costs at most delta.  The master's optimum settles it: no
+    point of the master costs less than the optimal value, and the optimal
+    point is clean, so delta is that value rounded up (less a feasibility
+    slack).
     """
     if mode not in ("direct", "delta"):
         raise InputError(f"unknown relaxation mode {mode!r}")
-    zero = [0.0] * inst.n
     # the zero point's threshold set is empty: each group's unsuppressed row
-    pool = {row.key(): row for row in threshold_rows(inst, zero)}
-    caps: dict = {}
-    x, value, trace = _cut_loop(
-        inst, _master(inst.costs, pool.values()), pool, caps, cut_log, _strengthened(inst)
+    pool = {row.key(): row for row in threshold_rows(inst, [0.0] * inst.n)}
+    x, value, trace = _cut_loop(inst, pool, cut_log, _strengthened(inst))
+    return FractionalSolution(
+        x=x,
+        objective=value,
+        certificate=_certificate(inst, x, pool),
+        objectives=tuple(trace),
+        cost_cap=max(0, math.ceil(value - EPS_FEAS)) if mode == "delta" else None,
     )
-    if mode == "direct":
-        return FractionalSolution(
-            x=x,
-            objective=value,
-            certificate=_certificate(inst, x, pool),
-            objectives=tuple(trace),
-        )
-    # Every pooled row is valid for the instance independent of any cap, so
-    # probes may reuse the direct loop's rows; sharing its pool keeps the
-    # search's budget from undercutting the direct objective, which keeps the
-    # two modes' reports adjacent.  With a zero objective every basis is dual
-    # feasible, so a probe can resume from the last whatever its cap.
-    master = _master(zero, list(pool.values()) + list(caps.values()), inst.costs)
-
-    def probe(cap):
-        return _cut_loop(inst, master, pool, caps, cut_log, _strengthened(inst, cap), cap)
-
-    lo, hi = 0, inst.total_cost
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if probe(mid) is None:
-            lo = mid + 1
-        else:
-            hi = mid
-    # rows discovered by later probes may retroactively kill the winning cap,
-    # and a cap once infeasible stays infeasible as the pool grows, so walk
-    # upward until the final pool admits a clean point
-    while lo <= inst.total_cost:
-        found = probe(lo)
-        if found is not None:
-            x = found[0]
-            return FractionalSolution(
-                x=x,
-                objective=float(sum(c * xv for c, xv in zip(inst.costs, x))),
-                certificate=_certificate(inst, x, pool),
-                cost_cap=lo,
-            )
-        lo += 1
-    raise SolverError("no cost cap up to the full budget admits a clean point")
 
 
 def solve_natural_lp(inst: Instance) -> FractionalSolution:
@@ -411,7 +357,6 @@ def solve_natural_lp(inst: Instance) -> FractionalSolution:
     vertex, which is the gap the strengthened relaxation closes.
     """
     x, value, _ = _cut_loop(
-        inst, LinearProgram(inst.costs), {}, {}, None,
-        lambda x, tol: list(_capped_violations(inst, x, tol, truncate=False)),
+        inst, {}, None, lambda x, tol: list(_capped_violations(inst, x, tol, truncate=False))
     )
     return FractionalSolution(x=x, objective=value, certificate=())

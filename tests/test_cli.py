@@ -60,11 +60,23 @@ def test_solve_output_shape(capsys, star_file):
     assert len(chosen) == 1
 
 
-def test_solve_delta_reports_cap(capsys, edge_file):
+def test_solve_delta_reports_cap(capsys, edge_file, tmp_path):
     code, out, _ = run_cli(capsys, "solve", edge_file, "--mode", "delta")
     assert code == 0
     assert "mode: delta" in out.splitlines()
     assert "cost_cap: 3" in out.splitlines()
+    # delta mode prints direct mode's report, with its mode and one cost_cap line
+    inst = pv.generate_random(16, 26, 4, 5, pv.GeneratorConfig(weight_range=(1, 3)))
+    path = tmp_path / "random.pvc"
+    path.write_text(pv.serialize_instance(inst), encoding="utf-8")
+    code, direct, _ = run_cli(capsys, "solve", str(path), "--prune")
+    assert code == 0
+    code, delta, _ = run_cli(capsys, "solve", str(path), "--prune", "--mode", "delta")
+    assert code == 0
+    want = direct.splitlines()
+    at = want.index("mode: direct")
+    want[at:at + 1] = ["mode: delta", "cost_cap: 19"]  # direct value 18.857...
+    assert delta.splitlines() == want
 
 
 def test_solve_prune_and_timings_lines(capsys, star_file):

@@ -165,31 +165,6 @@ def test_lp_resolve_after_each_appended_row():
     assert checked >= 150
 
 
-def test_lp_resolve_as_row_zero_rhs_moves():
-    # the cost-cap probe pattern: row 0's right-hand side swings across
-    # feasible and infeasible values and each solve resumes the last basis
-    rng = np.random.default_rng(99)
-    statuses = set()
-    for _ in range(20):
-        objective, rows = random_lp(rng)
-        weights = rng.integers(1, 4, size=len(objective)).astype(float)
-        for obj in (objective, np.zeros_like(objective)):
-            lp = LinearProgram(list(obj)).add_row(dict(enumerate(weights)), 0.0, LE)
-            for coeffs, rhs, sense in rows:
-                lp.add_row(dict(enumerate(coeffs)), rhs, sense)
-            for cap in (0.0, 3.0, -1.0, 7.0, 1.0, 5.0, 0.0, 2.0):
-                lp.set_rhs(0, cap)
-                got = lp_solve(lp)
-                want_status, want_value = enumerate_optimum(
-                    obj, [(weights, cap, LE)] + rows
-                )
-                assert got.status == want_status
-                if want_status == "optimal":
-                    assert got.value == pytest.approx(want_value, abs=1e-6)
-                statuses.add(got.status)
-    assert statuses == {"optimal", "infeasible"}
-
-
 def test_lp_ladder_values():
     # the longest pivot sequences in the suite: 40/80/8 and 80/200/16 natural
     # LPs and the cutting-plane masters of their strengthened relaxations

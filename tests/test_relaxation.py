@@ -6,7 +6,9 @@ wdeg, plain loops over edges), and solver outputs are checked against the
 exact branch-and-bound optimum and the natural relaxation.
 """
 
+import dataclasses
 import itertools
+import math
 import re
 
 import numpy as np
@@ -130,14 +132,6 @@ def test_separate_zero_and_one_points(path3):
     assert out.kind == "violated"
     assert out.constraint.suppressed == ()
     assert pv.separate(path3, [1.0, 1.0, 1.0]).kind == "clean"
-    assert pv.separate(path3, [1.0, 1.0, 1.0], cost_cap=3).kind == "clean"
-
-
-def test_separate_cost_cap_precedence(path3):
-    out = pv.separate(path3, [1.0, 1.0, 1.0], cost_cap=1)
-    assert out.kind == "cost_cap"
-    assert out.constraint is None
-    assert pv.build_kc_constraint(path3, 0, ()).satisfied_by([1.0, 1.0, 1.0])
 
 
 def test_separate_returns_lowest_violated_group():
@@ -286,30 +280,25 @@ def test_value_sandwich_overlapping_groups():
 
 
 def test_modes_agree_within_one_unit():
-    for inst in random_instances(15, n=10, m=14, r=3):
+    """Delta mode reports the direct optimum and its smallest integer budget.
+
+    No point of the master costs less than the direct optimum, so every
+    budget below its ceiling is infeasible, and the direct point is clean,
+    so it witnesses that ceiling.  The pinned overlapping case has direct
+    value 3 against an exact optimum of 4: its budget must be 3.
+    """
+    cfg = pv.GeneratorConfig(weight_range=(1, 3))
+    pinned = pv.with_overlapping_groups(pv.generate_random(11, 17, 2, 33, cfg), 0.2, 33)
+    for inst in random_instances(15, n=10, m=14, r=3) + [pinned]:
         direct = pv.solve_relaxation(inst, mode="direct")
         delta = pv.solve_relaxation(inst, mode="delta")
         exact = pv.exact_solve(inst).cost
-        assert abs(direct.objective - delta.objective) <= 1 + 1e-6
-        assert direct.objective <= exact + 1e-6
-        assert delta.objective <= exact + 1e-6
-        # the search's budget can never undercut what the shared rows force
-        assert delta.objective >= direct.objective - 1e-6
-        assert delta.cost_cap is not None
-        assert delta.objective <= delta.cost_cap + 1e-6
+        assert (delta.x, delta.objective) == (direct.x, direct.objective)
+        assert delta.cost_cap == max(0, math.ceil(direct.objective - 1e-7))
         assert delta.cost_cap <= exact
-
-
-def test_delta_cost_cap_is_minimal_for_its_row_family():
-    """Capping one unit below the reported budget must leave no clean point:
-    re-run the probe machinery by hand at cap-1 over the full row family the
-    solver would rebuild, and demand failure."""
-    for inst in random_instances(5, n=8, m=12, r=2):
-        delta = pv.solve_relaxation(inst, mode="delta")
-        if delta.cost_cap == 0:
-            continue
-        spend = sum(c * xv for c, xv in zip(inst.costs, delta.x))
-        assert spend <= delta.cost_cap + 1e-6
+        assert pv.separate(inst, delta.x).kind == "clean"
+    assert direct.objective == pytest.approx(3.0, abs=1e-9)
+    assert (delta.cost_cap, exact) == (3, 4)
 
 
 def test_cut_log_records_generated_rows():
@@ -343,6 +332,24 @@ def test_scaling_costs_scales_the_value():
     a = pv.solve_relaxation(inst).objective
     b = pv.solve_relaxation(scaled).objective
     assert b == pytest.approx(7 * a, rel=1e-9)
+
+
+def test_large_costs_keep_the_sandwich_and_a_clean_point():
+    """Costs times 10^6: the kernel's tolerances must not be absolute in c."""
+    cfg = pv.GeneratorConfig(weight_range=(1, 3))
+    for seed in range(30):
+        inst = pv.generate_random(14, 22, 4, seed, cfg)
+        inst = dataclasses.replace(inst, costs=tuple(c * 10**6 for c in inst.costs))
+        natural = pv.solve_natural_lp(inst).objective
+        direct = pv.solve_relaxation(inst)
+        delta = pv.solve_relaxation(inst, mode="delta")
+        exact = pv.exact_solve(inst).cost
+        assert natural <= direct.objective * (1 + 1e-9), seed
+        assert direct.objective <= exact * (1 + 1e-9), seed
+        assert pv.separate(inst, direct.x).kind == "clean", seed
+        for gi in range(inst.r):
+            assert pv.capped_coverage_cut(inst, gi, direct.x, tol=1e-5) is None, seed
+        assert delta.cost_cap <= exact, seed
 
 
 # ---------------------------------------------------------- natural relaxation
