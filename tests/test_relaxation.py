@@ -301,6 +301,20 @@ def test_modes_agree_within_one_unit():
     assert (delta.cost_cap, exact) == (3, 4)
 
 
+def test_delta_cost_cap_is_minimal_for_its_row_family():
+    """The reported budget covers the returned point's spend, and one unit
+    less does not: the returned point is the master optimum, so no point of
+    the full row family fits under cost_cap - 1."""
+    for inst in random_instances(5, n=8, m=12, r=2):
+        delta = pv.solve_relaxation(inst, mode="delta")
+        if delta.cost_cap == 0:
+            continue
+        spend = sum(c * xv for c, xv in zip(inst.costs, delta.x))
+        assert spend <= delta.cost_cap + 1e-6
+        assert spend > delta.cost_cap - 1 + 1e-9
+        assert spend == pytest.approx(delta.objective, abs=1e-6)
+
+
 def test_cut_log_records_generated_rows():
     log: list[str] = []
     inst = random_instances(1, n=9, m=14, r=3, seed0=4)[0]
