@@ -197,6 +197,17 @@ def _int_at_least(lo):
     return parse
 
 
+def _probability(text):
+    """argparse type: a float in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+_probability.__name__ = "probability"
+
+
 def _int_list(text):
     """argparse type: comma-separated integers."""
     return [int(tok) for tok in text.split(",") if tok]
@@ -269,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--weight-min", type=int, default=1)
     g.add_argument("--weight-max", type=int, default=1)
     g.add_argument("--group-assignment", choices=["random", "round_robin"], default="random")
-    g.add_argument("--overlap-extra", type=float, default=0.0,
+    g.add_argument("--overlap-extra", type=_probability, default=0.0,
                    help="probability of each extra edge-group membership")
     g.add_argument("--out", default=None)
     g.set_defaults(func=_cmd_generate)
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("bench", help="batch of random instances, CSV out")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--n-min", type=int, default=6)
     p.add_argument("--n-max", type=int, default=16)
@@ -288,10 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=24)
     p.add_argument("--r-min", type=int, default=1)
     p.add_argument("--r-max", type=int, default=4)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(0), default=1000,
+                   help="Monte Carlo trials per row; 0 skips Monte Carlo")
     p.add_argument("--weight-min", type=int, default=1)
     p.add_argument("--weight-max", type=int, default=1)
-    p.add_argument("--overlap-extra", type=float, default=0.0)
+    p.add_argument("--overlap-extra", type=_probability, default=0.0)
     p.add_argument("--exact-limit", type=int, default=20)
     p.add_argument("--mode", choices=["direct", "delta"], default="direct")
     p.add_argument("--rounds-constant", type=_int_at_least(1), default=4)

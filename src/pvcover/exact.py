@@ -1,10 +1,15 @@
 """Exact optimum by branch and bound, for desk-scale instances.
 
-Vertices are decided in descending cost order (include branch first), the
-running cost bounds the search, and a group whose remaining reachable weight
-drops below its target prunes the subtree.  Among equal-cost optima the
-lexicographically smallest chosen set (as a sorted tuple) wins, which keeps
-fixtures reproducible.
+Vertices are decided in descending cost order (include branch first).  The
+greedy cover seeds the incumbent, so the search prunes from its first node:
+a node costing more than the incumbent is dropped, and so is a node that is
+not yet feasible when even the cheapest vertex still to decide would lift it
+above the incumbent (it must take at least one more).  A group whose
+remaining reachable weight drops below its target prunes the subtree too.
+Every prune is strict, so each subtree that could hold an equal-cost optimum
+is still searched, and among equal-cost optima the lexicographically
+smallest chosen set (as a sorted tuple) wins, which keeps fixtures
+reproducible.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 from operator import ge, le
 
 from .errors import InputError
+from .greedy import greedy_solve
 from .instance import Instance
 
 __all__ = ["ExactResult", "exact_solve", "DEFAULT_LIMIT"]
@@ -47,7 +53,11 @@ def exact_solve(inst: Instance, limit: int = DEFAULT_LIMIT) -> ExactResult:
     covered = [0] * r  # weight covered by the chosen set
     lost = [0] * r  # weight no completion of this node can ever cover
 
-    best: list = [None, None]  # cost, sorted chosen tuple
+    # the greedy cover is feasible (Instance rejects targets above group
+    # weight), so it is an incumbent before the first node
+    greedy = greedy_solve(inst)
+    best = [greedy.cost, greedy.chosen]  # cost, sorted chosen tuple
+    cheapest = costs[order[-1]]  # least any vertex still to decide can add
     nodes = 0
 
     def include(v):
@@ -89,7 +99,7 @@ def exact_solve(inst: Instance, limit: int = DEFAULT_LIMIT) -> ExactResult:
             if extras:
                 cand = sorted(cand + extras)
         key = (cur_cost, tuple(cand))
-        if best[0] is None or key < (best[0], best[1]):
+        if key < (best[0], best[1]):
             best[0], best[1] = key
 
     # Depth-first over the decisions on order[0], order[1], ...: path[i] is
@@ -99,11 +109,12 @@ def exact_solve(inst: Instance, limit: int = DEFAULT_LIMIT) -> ExactResult:
     while True:
         nodes += 1
         idx = len(path)
-        descend = (best[0] is None or cur_cost <= best[0]) and all(map(le, lost, slack))
+        descend = cur_cost <= best[0] and all(map(le, lost, slack))
         if descend and all(map(ge, covered, targets)):
             settle(cur_cost, [order[i] for i in range(idx) if path[i]], idx)
             descend = False
-        if descend and idx < n:
+        # not yet feasible: some vertex still to decide must be taken
+        if descend and idx < n and cur_cost + cheapest <= best[0]:
             v = order[idx]
             include(v)
             cur_cost += costs[v]
@@ -121,7 +132,4 @@ def exact_solve(inst: Instance, limit: int = DEFAULT_LIMIT) -> ExactResult:
         exclude(v)
         path[-1] = False
 
-    if best[0] is None:
-        # unreachable while targets respect group weights, kept as a guard
-        raise InputError("instance admits no feasible vertex set")
     return ExactResult(cost=best[0], chosen=best[1], nodes=nodes)

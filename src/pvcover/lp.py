@@ -178,17 +178,25 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
 
     lp._basis = (basis, at_upper)
     xs = np.clip(x[:n], 0.0, 1.0)
-    _audit_rows(lp, xs, b)
+    _audit_rows(lp, A, b, xs)
     return LpOutcome("optimal", float(cost[:n] @ xs), tuple(float(v) for v in xs), pivots)
 
 
-def _audit_rows(lp, xs, b):
+def _audit_rows(lp, A, b, xs):
+    """Raise unless the clamped point meets every row within the tolerance.
+
+    A's slack column for row i is +1 on an LE row and -1 on a GE row, so
+    slack sign times (lhs - rhs) is the row's violation.
+    """
+    n = lp.nvars
     tol = 10.0 * EPS_FEAS * (1.0 + float(np.abs(b).sum()))
-    for row in lp.rows:
-        lhs = sum(a * xs[j] for j, a in row.coeffs)
-        bad = lhs < row.rhs - tol if row.sense == GE else lhs > row.rhs + tol
-        if bad:
-            raise SolverError(
-                f"optimal point failed the feasibility audit on a row "
-                f"(lhs={lhs!r}, rhs={row.rhs!r}, sense={row.sense})"
-            )
+    lhs = A[:, :n] @ xs
+    sign = A[:, n:].diagonal()
+    bad = np.flatnonzero(sign * (lhs - b) > tol)
+    if bad.size:
+        i = int(bad[0])
+        row = lp.rows[i]
+        raise SolverError(
+            f"optimal point failed the feasibility audit on a row "
+            f"(lhs={float(lhs[i])!r}, rhs={row.rhs!r}, sense={row.sense})"
+        )

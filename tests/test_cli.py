@@ -147,6 +147,15 @@ def test_bad_argument_values_are_exit_2(capsys, star_file):
         (["solve", star_file, "--rounds-constant", "0"], "0"),
         (["solve", star_file, "--seed", "-1"], "-1"),
         (["generate", "random", "--n", "5", "--m", "6", "--r", "2", "--seed", "-1"], "-1"),
+        (["bench", "--count", "0", "--seed", "1"], "0"),
+        (["bench", "--count", "-1", "--seed", "1"], "-1"),
+        (["bench", "--count", "1", "--seed", "1", "--trials", "-5"], "-5"),
+        (["bench", "--count", "1", "--seed", "1", "--overlap-extra", "-1"], "-1"),
+        (["bench", "--count", "1", "--seed", "1", "--overlap-extra", "2"], "2"),
+        (["generate", "random", "--n", "5", "--m", "6", "--r", "2", "--seed", "1",
+          "--overlap-extra", "-1"], "-1"),
+        (["generate", "random", "--n", "5", "--m", "6", "--r", "2", "--seed", "1",
+          "--overlap-extra", "1.5"], "1.5"),
     ]
     for argv, bad in cases:
         try:
@@ -308,6 +317,19 @@ def test_gap_table_degree_1000(capsys):
     assert out.splitlines()[1] == "1000 0.001 1 1"
 
 
+def test_bench_edge_values_still_run(capsys):
+    # the smallest accepted values: one row, Monte Carlo skipped, every
+    # extra group membership taken
+    code, out, err = run_cli(
+        capsys, "bench", "--count", "1", "--seed", "4", "--n-min", "6", "--n-max", "6",
+        "--trials", "0", "--overlap-extra", "1",
+    )
+    assert code == 0 and err == ""
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert len(rows) == 3  # header, one instance, aggregate
+    assert rows[1].split(",")[rows[0].split(",").index("min_round_success")] == ""
+
+
 def test_bench_to_file(capsys, tmp_path):
     out_path = tmp_path / "bench.csv"
     code, out, _ = run_cli(
@@ -396,6 +418,23 @@ def test_cli_byte_identical_across_processes(tmp_path, star5):
     fourth = _run_proc(["verify", str(path), "--trials", "500", "--seed", "9"])
     assert third.returncode == 0
     assert third.stdout == fourth.stdout
+
+
+def test_exact_byte_identical_and_pinned(tmp_path):
+    # zero-cost vertices keep several optima alive; the reported one is the
+    # lexicographically smallest, the same with or without the greedy
+    # incumbent and the one-vertex bound (pinned from a search without them)
+    cfg = pv.GeneratorConfig(cost_range=(0, 5), weight_range=(1, 3))
+    path = tmp_path / "n18.pvc"
+    path.write_text(pv.serialize_instance(pv.generate_random(18, 27, 3, 0, cfg)), encoding="utf-8")
+    first = _run_proc(["exact", str(path)])
+    second = _run_proc(["exact", str(path)])
+    assert first.returncode == 0 and first.stderr == b""
+    assert first.stdout == second.stdout
+    lines = first.stdout.decode().splitlines()
+    assert "optimum: 6" in lines
+    assert "chosen: 0,1,3,7,8,11,15,16,17" in lines
+    assert "nodes: 159" in lines
 
 
 def test_module_help_runs():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pvcover as pv
-from pvcover.lp import GE, LE, LinearProgram, lp_solve
+from pvcover.lp import GE, LE, LinearProgram, _audit_rows, lp_solve
 
 FEAS_TOL = 1e-7
 
@@ -203,3 +203,62 @@ def test_solution_satisfies_rows_it_was_solved_with():
                 assert lhs >= rhs - 1e-6
             else:
                 assert lhs <= rhs + 1e-6
+
+
+
+def _kernel_matrix(lp):
+    """A and b laid out as lp_solve lays them out: one slack column per row,
+    +1 for LE and -1 for GE."""
+    n, m = lp.nvars, len(lp.rows)
+    A = np.zeros((m, n + m))
+    for i, row in enumerate(lp.rows):
+        for j, a in row.coeffs:
+            A[i, j] = a
+        A[i, n + i] = 1.0 if row.sense == LE else -1.0
+    return A, np.array([row.rhs for row in lp.rows])
+
+
+def _first_bad_row(lp, xs, b):
+    """Row-by-row reference for the audit: the first violated row and its lhs."""
+    tol = 10.0 * pv.EPS_FEAS * (1.0 + float(np.abs(b).sum()))
+    for i, row in enumerate(lp.rows):
+        lhs = sum(a * xs[j] for j, a in row.coeffs)
+        if (lhs < row.rhs - tol) if row.sense == GE else (lhs > row.rhs + tol):
+            return i, lhs
+    return None
+
+
+def test_audit_names_the_first_violated_row():
+    lp = LinearProgram([1.0, 1.0]).add_row({0: 1.0, 1: 1.0}, 1.0, GE).add_row({0: 1.0}, 0.5, LE)
+    A, b = _kernel_matrix(lp)
+    _audit_rows(lp, A, b, np.array([0.5, 0.5]))  # both rows tight
+    with pytest.raises(pv.SolverError, match=r"lhs=0\.75, rhs=1\.0, sense=>="):
+        _audit_rows(lp, A, b, np.array([0.5, 0.25]))
+    with pytest.raises(pv.SolverError, match=r"lhs=0\.75, rhs=0\.5, sense=<="):
+        _audit_rows(lp, A, b, np.array([0.75, 0.5]))
+    with pytest.raises(pv.SolverError, match=r"lhs=0\.75, rhs=1\.0, sense=>="):
+        _audit_rows(lp, A, b, np.array([0.75, 0.0]))  # both rows fail; the first is named
+
+
+def test_audit_agrees_with_the_row_by_row_reference():
+    rng = np.random.default_rng(11)
+    flagged = 0
+    for _ in range(300):
+        objective, rows = random_lp(rng)
+        lp = LinearProgram(list(objective))
+        for coeffs, rhs, sense in rows:
+            lp.add_row(dict(enumerate(coeffs)), rhs, sense)
+        A, b = _kernel_matrix(lp)
+        xs = rng.random(lp.nvars)
+        want = _first_bad_row(lp, xs, b)
+        if want is None:
+            _audit_rows(lp, A, b, xs)
+            continue
+        flagged += 1
+        i, lhs = want
+        with pytest.raises(pv.SolverError) as err:
+            _audit_rows(lp, A, b, xs)
+        got = float(str(err.value).split("lhs=")[1].split(",")[0])
+        assert got == pytest.approx(lhs, abs=1e-12)
+        assert f"rhs={lp.rows[i].rhs!r}, sense={lp.rows[i].sense})" in str(err.value)
+    assert 20 <= flagged <= 280  # both verdicts are exercised
