@@ -41,7 +41,6 @@ from .relaxation import (
     CappedCoverageCut,
     FractionalSolution,
     KnapsackCoverConstraint,
-    Separation,
     build_kc_constraint,
     capped_coverage_cut,
     residual,
@@ -102,7 +101,6 @@ __all__ = [
     "lp_solve",
     "KnapsackCoverConstraint",
     "CappedCoverageCut",
-    "Separation",
     "FractionalSolution",
     "threshold_set",
     "residual",

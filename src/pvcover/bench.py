@@ -59,10 +59,14 @@ class BenchConfig:
     generator: GeneratorConfig = GeneratorConfig()
     overlap_extra: float = 0.0
     exact_limit: int = 20
-    mode: str = "direct"
-    rounds_constant: int = 4
 
     def __post_init__(self):
+        if self.count < 1:
+            raise InputError(f"count must be at least 1, got {self.count}")
+        if self.trials < 0:
+            raise InputError(f"trials must be at least 0, got {self.trials}")
+        if not 0.0 <= self.overlap_extra <= 1.0:
+            raise InputError(f"overlap_extra must be in [0, 1], got {self.overlap_extra}")
         for name, (lo, hi) in (("n", self.n_range), ("r", self.r_range)):
             if lo > hi:
                 raise InputError(f"empty {name} range: min {lo} is above max {hi}")
@@ -130,18 +134,12 @@ def run_bench(cfg: BenchConfig) -> tuple[list[BenchRecord], dict]:
         try:
             nat = _timed(rec.timings, "natural", lambda: solve_natural_lp(inst))
             rec.natural_lp = nat.objective
-            frac = _timed(
-                rec.timings, "relaxation", lambda: solve_relaxation(inst, mode=cfg.mode)
-            )
+            frac = _timed(rec.timings, "relaxation", lambda: solve_relaxation(inst))
             rec.strengthened_lp = frac.objective
             sel, rep = _timed(
                 rec.timings,
                 "rounding",
-                lambda: solve_rounded(
-                    inst,
-                    frac,
-                    RoundingConfig(seed=round_seed, rounds_constant=cfg.rounds_constant),
-                ),
+                lambda: solve_rounded(inst, frac, RoundingConfig(seed=round_seed)),
             )
             rec.rounded_cost = sel.cost
             rec.rounds = rep.rounds

@@ -10,12 +10,10 @@ guarantee survives.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-import time
 from pathlib import Path
 
-from .bench import BenchConfig, format_csv, gap_rows, run_bench
+from .bench import BenchConfig, _timed, format_csv, gap_rows, run_bench
 from .errors import InputError, PvcoverError, RoundingFailure, SolverError
 from .exact import DEFAULT_LIMIT, exact_solve
 from .greedy import greedy_solve
@@ -68,20 +66,24 @@ def _print_instance_header(args, inst):
 def _cmd_solve(args) -> int:
     inst = _load(args)
     cut_log: list[str] | None = [] if args.cut_log else None
-    t0 = time.perf_counter()
-    frac = solve_relaxation(inst, mode=args.mode, cut_log=cut_log)
-    relaxation_s = time.perf_counter() - t0
-    cfg = RoundingConfig(seed=args.seed, rounds_constant=args.rounds_constant)
-    sel, report = solve_rounded(inst, frac, cfg, prune=args.prune)
-    report = dataclasses.replace(
-        report, timings={**report.timings, "relaxation": relaxation_s}
+    timings = {}
+    frac = _timed(
+        timings, "relaxation", lambda: solve_relaxation(inst, mode=args.mode, cut_log=cut_log)
+    )
+    sel, report = _timed(
+        timings,
+        "round",
+        lambda: solve_rounded(inst, frac, RoundingConfig(seed=args.seed), prune=args.prune),
     )
     _print_instance_header(args, inst)
     print(f"mode: {args.mode}")
     if frac.cost_cap is not None:
         print(f"cost_cap: {frac.cost_cap}")
     print(f"cuts: {max(0, len(frac.certificate) - inst.r)}")
-    print(report.to_text(include_timings=args.timings))
+    print(report.to_text())
+    if args.timings:
+        for stage, seconds in timings.items():
+            print(f"time_{stage}: {seconds:.6f}")
     print("chosen: " + ",".join(str(v) for v in sel.chosen))
     if args.cut_log:
         _emit("".join(line + "\n" for line in cut_log), args.cut_log)
@@ -118,7 +120,7 @@ def _cmd_lp1(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load(args)
-    frac = solve_relaxation(inst, mode=args.mode)
+    frac = solve_relaxation(inst)
     _print_instance_header(args, inst)
     print(f"lp_objective: {frac.objective:.9g}")
     for gi, margin in precondition_margins(inst, frac.x):
@@ -145,7 +147,6 @@ def _cmd_generate(args) -> int:
         gen = GeneratorConfig(
             cost_range=(args.cost_min, args.cost_max),
             weight_range=(args.weight_min, args.weight_max),
-            group_assignment=args.group_assignment,
         )
         inst = generate_random(args.n, args.m, args.r, args.seed, gen)
         if args.overlap_extra > 0:
@@ -167,8 +168,6 @@ def _cmd_bench(args) -> int:
         generator=GeneratorConfig(weight_range=(args.weight_min, args.weight_max)),
         overlap_extra=args.overlap_extra,
         exact_limit=args.exact_limit,
-        mode=args.mode,
-        rounds_constant=args.rounds_constant,
     )
     records, footer = run_bench(cfg)
     _emit(format_csv(records, footer, include_timings=args.timings), args.out)
@@ -236,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_arg(p)
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="rounding seed (64-bit)")
     p.add_argument("--mode", choices=["direct", "delta"], default="direct")
-    p.add_argument("--rounds-constant", type=_int_at_least(1), default=4)
     p.add_argument("--prune", action="store_true", help="also report a pruned solution")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.add_argument("--cut-log", default=None, help="write one line per generated cut")
@@ -259,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_arg(p)
     p.add_argument("--trials", type=_int_at_least(1), default=20000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--mode", choices=["direct", "delta"], default="direct")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("generate", help="write instances in canonical form")
@@ -279,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cost-max", type=int, default=10)
     g.add_argument("--weight-min", type=int, default=1)
     g.add_argument("--weight-max", type=int, default=1)
-    g.add_argument("--group-assignment", choices=["random", "round_robin"], default="random")
     g.add_argument("--overlap-extra", type=_probability, default=0.0,
                    help="probability of each extra edge-group membership")
     g.add_argument("--out", default=None)
@@ -305,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-max", type=int, default=1)
     p.add_argument("--overlap-extra", type=_probability, default=0.0)
     p.add_argument("--exact-limit", type=int, default=20)
-    p.add_argument("--mode", choices=["direct", "delta"], default="direct")
-    p.add_argument("--rounds-constant", type=_int_at_least(1), default=4)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)

@@ -2,8 +2,8 @@
 
 Each step takes the vertex maximizing (sum over groups of min(new weight it
 covers, remaining demand)) per unit cost, comparing ratios in exact integer
-arithmetic.  Free vertices with positive gain are taken up front; ties go to
-the lower vertex id.
+arithmetic, so a free vertex with positive gain ranks first; ties go to the
+lower vertex id.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ __all__ = ["greedy_solve"]
 
 def greedy_solve(inst: Instance) -> VertexSelection:
     """Deterministic greedy cover; always feasible since all vertices are."""
-    n, m, r = inst.n, inst.m, inst.r
+    n, m = inst.n, inst.m
     costs = inst.costs
     inc = inst.incidence
     incident, edge_groups = inc.vertex_edges, inc.edge_groups
@@ -45,11 +45,6 @@ def greedy_solve(inst: Instance) -> VertexSelection:
             for gi in edge_groups[eid]:
                 remaining[gi] = max(0, remaining[gi] - weight[eid])
 
-    # free vertices first; gains only shrink, so one ordered pass is enough
-    for v in range(n):
-        if costs[v] == 0 and gain(v) > 0:
-            take(v)
-
     while any(remaining):
         best_v = -1
         best_gain = 0
@@ -59,9 +54,7 @@ def greedy_solve(inst: Instance) -> VertexSelection:
             g = gain(v)
             if g <= 0:
                 continue
-            if costs[v] == 0:
-                best_v, best_gain = v, g
-                break
+            # a free vertex with positive gain outranks every priced one;
             # strict cross-multiplied comparison keeps the earliest id on ties
             if best_v < 0 or g * costs[best_v] > best_gain * costs[v]:
                 best_v, best_gain = v, g

@@ -17,7 +17,6 @@ __all__ = [
     "SetCoverInstance",
     "GeneratorConfig",
     "Incidence",
-    "incidence",
     "parse_instance",
     "serialize_instance",
     "parse_set_cover",
@@ -417,11 +416,6 @@ class Incidence:
     group_arrays: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def incidence(inst: Instance) -> Incidence:
-    """The instance's Incidence: inst.incidence, built once per instance object."""
-    return inst.incidence
-
-
 def covered_weights(inst: Instance, picked: np.ndarray) -> np.ndarray:
     """Per-group covered weight of boolean pick masks: shape (..., n) to int64 (..., r).
 
@@ -480,17 +474,16 @@ def generate_star(degree: int) -> Instance:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for generate_random.
+    """Cost and weight ranges for generate_random.
 
     cost_range and weight_range are inclusive integer ranges; weights must
-    stay positive.  group_assignment is "random" (each group gets one edge,
-    the rest land uniformly) or "round_robin".  Targets are drawn uniformly
-    from 1..group weight, so generated instances are never degenerate.
+    stay positive.  Each group gets one edge and the rest land uniformly;
+    targets are drawn uniformly from 1..group weight, so generated instances
+    are never degenerate.
     """
 
     cost_range: tuple[int, int] = (1, 10)
     weight_range: tuple[int, int] = (1, 1)
-    group_assignment: str = "random"
 
     def __post_init__(self):
         lo, hi = self.cost_range
@@ -499,8 +492,6 @@ class GeneratorConfig:
         lo, hi = self.weight_range
         if lo < 1 or hi < lo:
             raise InputError(f"bad weight_range {self.weight_range}")
-        if self.group_assignment not in ("random", "round_robin"):
-            raise InputError(f"unknown group_assignment {self.group_assignment!r}")
 
 
 def generate_random(
@@ -527,15 +518,12 @@ def generate_random(
     for _ in range(m):
         u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
         edges.append(Edge(u, v, int(rng.integers(wlo, whi + 1))))
-    if config.group_assignment == "round_robin":
-        owner = [eid % r for eid in range(m)]
-    else:
-        owner = [0] * m
-        perm = [int(x) for x in rng.permutation(m)]
-        for gi, eid in enumerate(perm[:r]):
-            owner[eid] = gi
-        for eid in perm[r:]:
-            owner[eid] = int(rng.integers(r))
+    owner = [0] * m
+    perm = [int(x) for x in rng.permutation(m)]
+    for gi, eid in enumerate(perm[:r]):
+        owner[eid] = gi
+    for eid in perm[r:]:
+        owner[eid] = int(rng.integers(r))
     members: list[list[int]] = [[] for _ in range(r)]
     for eid, gi in enumerate(owner):
         members[gi].append(eid)

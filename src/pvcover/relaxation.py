@@ -27,7 +27,6 @@ from .lp import GE, LinearProgram, lp_solve
 __all__ = [
     "KnapsackCoverConstraint",
     "CappedCoverageCut",
-    "Separation",
     "FractionalSolution",
     "threshold_set",
     "threshold_rows",
@@ -205,22 +204,15 @@ def threshold_rows(inst, x):
             yield row
 
 
-@dataclass(frozen=True)
-class Separation:
-    kind: str  # "clean" or "violated"
-    constraint: KnapsackCoverConstraint | None
+def separate(inst, x, tol: float = EPS_FEAS) -> KnapsackCoverConstraint | None:
+    """The first threshold-induced cover row violated at x, by group index, or None.
 
-
-def separate(inst, x, tol: float = EPS_FEAS) -> Separation:
-    """Check each group's threshold-induced cover row at x.
-
-    Returns the first violated row by group index, or a clean verdict.  Only
-    the suppressed set induced by the rounding threshold is ever examined.
+    Only the suppressed set induced by the rounding threshold is ever examined.
     """
     for row in threshold_rows(inst, x):
         if not row.satisfied_by(x, tol):
-            return Separation("violated", row)
-    return Separation("clean", None)
+            return row
+    return None
 
 
 @dataclass(frozen=True)
@@ -308,9 +300,9 @@ def _strengthened(inst):
     """The strengthened separation: the first violated threshold cover row,
     else the first violated truncated capped-coverage row, else nothing."""
     def violated(x, tol):
-        sep = separate(inst, x, tol=tol)
-        if sep.constraint is not None:
-            return [sep.constraint]
+        row = separate(inst, x, tol=tol)
+        if row is not None:
+            return [row]
         return list(islice(_capped_violations(inst, x, tol), 1))
     return violated
 

@@ -17,8 +17,7 @@ vertex in vertex id order.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -45,6 +44,11 @@ __all__ = [
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
+# Rounds per doubling of r + 1.  A round misses a group with probability at
+# most 3/8, and (3/8)^4 < 2^-5, so a union of ROUNDS_CONSTANT * ceil(log2(r + 1))
+# rounds misses some group with probability below r / (r + 1)^5.
+ROUNDS_CONSTANT = 4
+
 # Attempts (each a fresh union of rounds) before solve_rounded gives up.
 MAX_RESTARTS = 8
 
@@ -69,22 +73,17 @@ class VertexSelection:
 
 @dataclass(frozen=True)
 class RoundingConfig:
-    """Rounding seed and round budget multiplier.
-
-    rounds_constant scales the ceil(log2(r + 1)) round schedule.
-    """
+    """The rounding seed; the round schedule is fixed by rounds_for."""
 
     seed: int = 0
-    rounds_constant: int = 4
-
-    def __post_init__(self):
-        if self.rounds_constant < 1:
-            raise ValueError("rounds_constant must be at least 1")
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Everything the CLI and bench harness report about one rounded solve."""
+    """Everything the CLI and bench harness report about one rounded solve.
+
+    Every field is deterministic for a fixed seed; callers time the solve.
+    """
 
     seed: int
     rounds: int
@@ -97,9 +96,8 @@ class SolveReport:
     targets: tuple[int, ...]
     pruned_cost: int | None = None
     pruned_chosen: tuple[int, ...] | None = None
-    timings: dict = field(default_factory=dict)
 
-    def to_text(self, include_timings: bool = False) -> str:
+    def to_text(self) -> str:
         lines = [
             f"rounds: {self.rounds}",
             f"restarts: {self.restarts}",
@@ -114,17 +112,14 @@ class SolveReport:
         if self.pruned_cost is not None:
             lines.append(f"pruned_cost: {self.pruned_cost}")
             lines.append("pruned_chosen: " + ",".join(str(v) for v in self.pruned_chosen))
-        if include_timings:
-            for stage in sorted(self.timings):
-                lines.append(f"time_{stage}: {self.timings[stage]:.6f}")
         return "\n".join(lines)
 
 
-def rounds_for(r: int, rounds_constant: int) -> int:
-    """Round budget: rounds_constant * ceil(log2(r + 1)), at least one round."""
+def rounds_for(r: int) -> int:
+    """Round budget: ROUNDS_CONSTANT * ceil(log2(r + 1)) rounds for r >= 1 groups."""
     if r < 1:
         raise ValueError("need at least one group")
-    return rounds_constant * math.ceil(math.log2(r + 1))
+    return ROUNDS_CONSTANT * math.ceil(math.log2(r + 1))
 
 
 def _draw(x, trials: int, rng: np.random.Generator):
@@ -250,19 +245,18 @@ def solve_rounded(
     cfg: RoundingConfig = RoundingConfig(),
     prune: bool = False,
 ) -> tuple[VertexSelection, SolveReport]:
-    """Union rounds_for(r, c) independent rounds; restart on the rare failure.
+    """Union rounds_for(r) independent rounds; restart on the rare failure.
 
     Requires a clean fractional point: every still-unsatisfied group must
     have a normalized cover-row margin of at least 1, which is what makes a
     single round succeed with probability at least 5/8 per group.
     """
-    t0 = time.perf_counter()
     for gi, margin in precondition_margins(inst, frac.x):
         if margin < 1.0 - EPS_OPT:
             raise SolverError(
                 f"rounding precondition violated: group {gi} margin {margin:.9g} < 1"
             )
-    rounds = rounds_for(inst.r, cfg.rounds_constant)
+    rounds = rounds_for(inst.r)
     root = np.random.SeedSequence(cfg.seed)
     for attempt, attempt_seed in enumerate(root.spawn(MAX_RESTARTS)):
         chosen: set[int] = set()
@@ -289,7 +283,6 @@ def solve_rounded(
                 targets=tuple(g.target for g in inst.groups),
                 pruned_cost=pruned_cost,
                 pruned_chosen=pruned_chosen,
-                timings={"round": time.perf_counter() - t0},
             )
             return union, report
     raise RoundingFailure(

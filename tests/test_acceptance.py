@@ -159,13 +159,11 @@ def check_end_to_end(name):
         r = 1 + (i % 8)
         inst = make_instance(12, 20, r, 9000 + i, fam)
         frac = pv.solve_relaxation(inst)
-        sel, report = solve_rounded(
-            inst, frac, RoundingConfig(seed=i, rounds_constant=4)
-        )
+        sel, report = solve_rounded(inst, frac, RoundingConfig(seed=i))
         assert report.feasible
         if report.restarts > 0:
             failures += 1
-        bound = 6 * rounds_for(inst.r, 4) * frac.objective
+        bound = 6 * rounds_for(inst.r) * frac.objective
         assert report.cost <= bound + 1e-6, (
             f"{name} solve {i}: cost {report.cost} > {bound:.4f}"
         )

@@ -79,13 +79,28 @@ def test_run_bench_marks_failed_rows(monkeypatch):
     assert "failed:SolverError" in text
 
 
-def test_bench_respects_mode_and_overlap():
+def test_bench_respects_overlap():
     cfg = bench.BenchConfig(
         count=2, seed=9, n_range=(6, 8), m_range=(8, 10), r_range=(2, 3),
-        trials=50, overlap_extra=0.4, mode="delta",
+        trials=50, overlap_extra=0.4,
     )
     records, _ = bench.run_bench(cfg)
     assert all(rec.status == "ok" for rec in records)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("count", 0),
+        ("count", -1),
+        ("trials", -5),
+        ("overlap_extra", -1.0),
+        ("overlap_extra", 1.5),
+    ],
+)
+def test_bench_config_rejects_bad_values(field, value):
+    with pytest.raises(pv.InputError):
+        bench.BenchConfig(**{"count": 1, "seed": 1, field: value})
 
 
 def test_gap_rows_pinned_values():

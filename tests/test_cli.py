@@ -140,11 +140,9 @@ def test_bad_argument_values_are_exit_2(capsys, star_file):
         (["gap", "--degrees", "2,x"], "2,x"),
         (["bench", "--count", "1", "--seed", "1", "--n-min", "10", "--n-max", "5"], "10"),
         (["bench", "--count", "2", "--seed", "1", "--r-min", "3", "--r-max", "2"], "3"),
-        (["bench", "--count", "1", "--seed", "1", "--rounds-constant", "0"], "0"),
         (["bench", "--count", "1", "--seed", "-1"], "-1"),
         (["verify", star_file, "--trials", "0"], "0"),
         (["verify", star_file, "--seed", "-1"], "-1"),
-        (["solve", star_file, "--rounds-constant", "0"], "0"),
         (["solve", star_file, "--seed", "-1"], "-1"),
         (["generate", "random", "--n", "5", "--m", "6", "--r", "2", "--seed", "-1"], "-1"),
         (["bench", "--count", "0", "--seed", "1"], "0"),
@@ -156,6 +154,14 @@ def test_bad_argument_values_are_exit_2(capsys, star_file):
           "--overlap-extra", "-1"], "-1"),
         (["generate", "random", "--n", "5", "--m", "6", "--r", "2", "--seed", "1",
           "--overlap-extra", "1.5"], "1.5"),
+        # options the fixed pipeline no longer has
+        (["verify", star_file, "--mode", "delta"], "--mode"),
+        (["bench", "--count", "1", "--seed", "1", "--mode", "delta"], "--mode"),
+        (["solve", star_file, "--rounds-constant", "4"], "--rounds-constant"),
+        (["bench", "--count", "1", "--seed", "1", "--rounds-constant", "4"],
+         "--rounds-constant"),
+        (["generate", "random", "--n", "5", "--m", "6", "--r", "2", "--seed", "1",
+          "--group-assignment", "round_robin"], "--group-assignment"),
     ]
     for argv, bad in cases:
         try:

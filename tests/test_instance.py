@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import pvcover as pv
-from pvcover.instance import incidence
 from conftest import PATH_TEXT, random_instances
 
 
@@ -151,13 +150,6 @@ def test_generate_random_respects_invariants_and_is_reproducible():
     assert pv.generate_random(10, 15, 4, seed=8) != a
 
 
-def test_generate_random_round_robin_spreads_edges():
-    cfg = pv.GeneratorConfig(group_assignment="round_robin")
-    inst = pv.generate_random(8, 12, 3, seed=1, config=cfg)
-    sizes = sorted(len(g.edges) for g in inst.groups)
-    assert sizes == [4, 4, 4]
-
-
 def test_with_overlapping_groups_only_adds_memberships():
     base = pv.generate_random(9, 14, 3, seed=3)
     fat = pv.with_overlapping_groups(base, 0.5, seed=11)
@@ -178,8 +170,8 @@ def test_incidence_matches_brute_force_rebuild():
     )
     shared = 0
     for inst in insts:
-        inc = incidence(inst)
-        assert incidence(inst) is inc
+        inc = inst.incidence
+        assert inst.incidence is inc
         for v in range(inst.n):
             want = tuple(eid for eid, e in enumerate(inst.edges) if v in (e.u, e.v))
             assert inc.vertex_edges[v] == want

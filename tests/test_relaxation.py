@@ -116,22 +116,22 @@ def test_separate_star_scaled_points(star5):
     # center at 1/5 crosses the threshold, its residual vanishes: clean
     x = [0.2, 0.0, 0.0, 0.0, 0.0, 0.0]
     out = pv.separate(star5, x)
-    assert out.kind == "clean"
+    assert out is None
     # the same point scaled below the threshold leaves the no-suppression
     # row exposed and violated
     x = [0.1, 0.0, 0.0, 0.0, 0.0, 0.0]
     out = pv.separate(star5, x)
-    assert out.kind == "violated"
-    assert out.constraint.suppressed == ()
-    assert out.constraint.group == 0
+    assert out is not None
+    assert out.suppressed == ()
+    assert out.group == 0
     assert not pv.build_kc_constraint(star5, 0, ()).satisfied_by(x)
 
 
 def test_separate_zero_and_one_points(path3):
     out = pv.separate(path3, [0.0, 0.0, 0.0])
-    assert out.kind == "violated"
-    assert out.constraint.suppressed == ()
-    assert pv.separate(path3, [1.0, 1.0, 1.0]).kind == "clean"
+    assert out is not None
+    assert out.suppressed == ()
+    assert pv.separate(path3, [1.0, 1.0, 1.0]) is None
 
 
 def test_separate_returns_lowest_violated_group():
@@ -140,8 +140,8 @@ def test_separate_returns_lowest_violated_group():
         "e 0 0 1 1\ne 1 2 3 1\ng 0 0\ng 1 1\nk 0 1\nk 1 1\n"
     )
     out = pv.separate(inst, [0.0, 0.0, 0.0, 0.0])
-    assert out.kind == "violated"
-    assert out.constraint.group == 0
+    assert out is not None
+    assert out.group == 0
 
 
 def test_separate_agrees_with_bruteforce_on_its_threshold_set():
@@ -159,10 +159,10 @@ def test_separate_agrees_with_bruteforce_on_its_threshold_set():
                 violated = gi
                 break
         if violated is None:
-            assert out.kind == "clean"
+            assert out is None
         else:
-            assert out.kind == "violated"
-            assert out.constraint.group == violated
+            assert out is not None
+            assert out.group == violated
 
 
 # ------------------------------------------------------- capped-coverage rows
@@ -216,7 +216,7 @@ def test_capped_coverage_cut_vacuous_when_everything_capped(path3):
 def test_solve_relaxation_star_value_one(star5):
     frac = pv.solve_relaxation(star5)
     assert frac.objective == pytest.approx(1.0, abs=1e-6)
-    assert pv.separate(star5, frac.x).kind == "clean"
+    assert pv.separate(star5, frac.x) is None
 
 
 def test_solve_relaxation_lopsided_edge(lopsided_edge):
@@ -252,7 +252,7 @@ def test_returned_point_is_clean_and_meets_capped_demands():
     for mode in ("direct", "delta"):
         for inst in random_instances(6, n=8, m=12, r=3):
             frac = pv.solve_relaxation(inst, mode=mode)
-            assert pv.separate(inst, frac.x).kind == "clean"
+            assert pv.separate(inst, frac.x) is None
             for gi in range(inst.r):
                 assert pv.capped_coverage_cut(inst, gi, frac.x, tol=1e-5) is None
             assert all(-1e-9 <= xv <= 1 + 1e-9 for xv in frac.x)
@@ -296,7 +296,7 @@ def test_modes_agree_within_one_unit():
         assert (delta.x, delta.objective) == (direct.x, direct.objective)
         assert delta.cost_cap == max(0, math.ceil(direct.objective - 1e-7))
         assert delta.cost_cap <= exact
-        assert pv.separate(inst, delta.x).kind == "clean"
+        assert pv.separate(inst, delta.x) is None
     assert direct.objective == pytest.approx(3.0, abs=1e-9)
     assert (delta.cost_cap, exact) == (3, 4)
 
@@ -360,7 +360,7 @@ def test_large_costs_keep_the_sandwich_and_a_clean_point():
         exact = pv.exact_solve(inst).cost
         assert natural <= direct.objective * (1 + 1e-9), seed
         assert direct.objective <= exact * (1 + 1e-9), seed
-        assert pv.separate(inst, direct.x).kind == "clean", seed
+        assert pv.separate(inst, direct.x) is None, seed
         for gi in range(inst.r):
             assert pv.capped_coverage_cut(inst, gi, direct.x, tol=1e-5) is None, seed
         assert delta.cost_cap <= exact, seed

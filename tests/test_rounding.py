@@ -11,17 +11,11 @@ from conftest import philox, random_instances
 
 
 def test_rounds_for_schedule():
-    assert pv.rounds_for(1, 4) == 4
-    assert pv.rounds_for(3, 4) == 8
-    assert pv.rounds_for(8, 4) == 16
-    assert pv.rounds_for(1, 1) == 1
+    assert pv.rounds_for(1) == 4
+    assert pv.rounds_for(3) == 8
+    assert pv.rounds_for(8) == 16
     with pytest.raises(ValueError):
-        pv.rounds_for(0, 4)
-
-
-def test_rounding_config_validation():
-    with pytest.raises(ValueError):
-        pv.RoundingConfig(rounds_constant=0)
+        pv.rounds_for(0)
 
 
 def test_round_once_takes_threshold_vertices_outright(star5):
@@ -116,7 +110,7 @@ def test_solve_rounded_deterministic_and_feasible():
     assert sel_a == sel_b
     assert rep_a.cost == rep_b.cost and rep_a.restarts == rep_b.restarts
     assert pv.is_feasible(inst, sel_a.chosen)
-    assert rep_a.rounds == pv.rounds_for(inst.r, 4)
+    assert rep_a.rounds == pv.rounds_for(inst.r)
     assert rep_a.feasible
     assert rep_a.cost_over_lp == pytest.approx(sel_a.cost / frac.objective)
     # a different seed is allowed to land elsewhere
@@ -162,4 +156,3 @@ def test_report_text_shape(star5):
     text = rep.to_text()
     assert "cost:" in text and "feasible: true" in text
     assert "time_" not in text
-    assert "time_round:" in rep.to_text(include_timings=True)
