@@ -4,14 +4,19 @@ Exit codes: 0 success, 2 bad argument values or file and parse problems
 (unreadable input or unwritable output), 3 solver failures, 4 rounding that
 stays infeasible through all restarts.  Output is byte-identical across runs
 for a fixed seed; wall-clock timings only appear behind --timings so that
-guarantee survives.
+guarantee survives.  It holds for one BLAS build and one BLAS thread count,
+so main runs numpy's bundled OpenBLAS on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .bench import BenchConfig, _timed, format_csv, gap_rows, run_bench
 from .errors import InputError, PvcoverError, RoundingFailure, SolverError
@@ -313,22 +318,64 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None.
+
+    None when numpy ships no such library or it lacks the symbols, as with
+    another BLAS build.
+    """
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+    if not libs:
+        return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with BLAS on one thread, then restore the caller's count.
+
+    Threaded BLAS kernels sum in another order than one thread does, which can
+    tip a tolerance test in the simplex or the separation and change the
+    output, so pinning one thread keeps it the same on any core count.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RoundingFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PvcoverError as exc:  # pragma: no cover - base class safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with _one_blas_thread():
+        try:
+            return args.func(args)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except RoundingFailure as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        except SolverError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except PvcoverError as exc:  # pragma: no cover - base class safety net
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

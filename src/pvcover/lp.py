@@ -1,15 +1,17 @@
 """Small dense LP kernel: min c.x over rows a.x >= b or a.x <= b with 0 <= x <= 1.
 
-Bounded dual simplex with Bland's rule on both sides and an explicit basis
-inverse.  Columns are the n structurals, in [0, 1], and one slack per row, in
+Bounded dual simplex with Bland's rule on both sides over a carried tableau.
+Columns are the n structurals, in [0, 1], and one slack per row, in
 [0, inf): a.x - s = b for a GE row, a.x + s = b for an LE row; there are no
-artificials and no phase 1.  A first solve starts from the slack basis with
-every structural at the bound its cost favours, which is dual feasible.  A
-LinearProgram keeps the basis of its last solve; rows are only appended,
-never changed, and the objective stays fixed, so that basis plus the new
-rows' slacks stays dual feasible and the next solve resumes from it.
-Built for tiny cutting-plane masters where determinism matters more than
-speed.
+artificials and no phase 1.  A LinearProgram keeps its rows once, densely, as
+they are appended, and with them the state its last solve ended on: the
+basis, the tableau T = B^-1 [A | +-I], the reduced costs d and the basic
+values x_B.  Rows are only appended, never changed, and the objective stays
+fixed, so that basis plus the new rows' slacks stays dual feasible: the next
+solve borders the tableau with the new rows and resumes from it.  A first
+solve borders an empty tableau, which gives the slack basis with every
+structural at the bound its cost favours.  Built for tiny cutting-plane
+masters where determinism matters more than speed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ LE = "<="
 _PIVOT_EPS = 1e-9  # entries and reduced costs smaller than this never price or pivot
 _BOUND_TOL = 1e-9  # basic values this far outside their bounds must leave
 _RATIO_TIE = 1e-9  # ratio-test ties within this pick the smallest variable index
-_REFACTOR = 32  # pivots between fresh factorizations of the basis inverse
+_REFACTOR = 32  # pivots between fresh factorizations of the basis
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,10 @@ class LpOutcome:
 class LinearProgram:
     """An objective plus an append-only row list over [0, 1]-boxed variables.
 
-    It keeps the basis its last lp_solve ended on for the next to resume from.
+    Each row is also written once into a dense buffer laid out as
+    [a | slack sign | b], the slack sign +1 on an LE row and -1 on a GE row;
+    the buffer doubles when full.  The tableau state of the last lp_solve is
+    kept for the next to resume from.
     """
 
     def __init__(self, objective):
@@ -58,7 +63,16 @@ class LinearProgram:
         if not self.objective:
             raise InputError("linear program needs at least one variable")
         self.rows: list[Row] = []
-        self._basis = None  # (basic columns, at-upper flags) of the last solve
+        n = self.nvars
+        self._dense = np.zeros((16, n + 2))
+        cost = np.array(self.objective)
+        # (T, d, x_B, basis, side) of the last verdict, side being +1 on a
+        # nonbasic column at its upper bound, -1 at its lower and 0 on a basic
+        # one; with no rows every structural sits at the bound its cost favours
+        self._tableau = (
+            np.zeros((0, n)), cost, np.zeros(0), np.zeros(0, dtype=int),
+            np.where(cost < -_PIVOT_EPS, 1.0, -1.0),
+        )
 
     @property
     def nvars(self) -> int:
@@ -77,6 +91,14 @@ class LinearProgram:
             if j in seen:
                 raise InputError(f"row repeats variable {j}")
             seen.add(j)
+        i = len(self.rows)
+        if i == len(self._dense):
+            self._dense = np.concatenate([self._dense, np.zeros_like(self._dense)])
+        dense = self._dense[i]
+        for j, a in cleaned:
+            dense[j] = a
+        dense[-2] = 1.0 if sense == LE else -1.0
+        dense[-1] = float(rhs)
         self.rows.append(Row(tuple(cleaned), float(rhs), sense))
         return self
 
@@ -84,114 +106,153 @@ class LinearProgram:
 def lp_solve(lp: LinearProgram) -> LpOutcome:
     """Solve lp to proven optimality or report infeasibility.
 
-    Resumes from the basis lp kept, with the slacks of rows appended since
-    basic, or starts from the slack basis.  Each pivot, the out-of-bounds
-    basic variable of smallest index leaves and the minimum-ratio column
-    |d_j| / |alpha_rj| enters, ties going to the smallest index.  B^-1 is
-    carried by rank-1 updates and refactored every _REFACTOR pivots and
-    before every verdict.  The returned point is clamped to the box.  Raises
+    Resumes from the tableau lp kept, bordered with the rows appended since,
+    whose slacks enter the basis; no factorization happens at the start.
+    Each pivot, the out-of-bounds basic variable of smallest index leaves and
+    the minimum-ratio column |d_j| / |alpha_rj| enters, ties going to the
+    smallest index; T, d and x_B then take one rank-1 update.  The basis is
+    factored afresh every _REFACTOR pivots and before every verdict reached
+    after a pivot.  The returned point is clamped to the box.  Raises
     LpIterationLimit past 50 * (variables + rows) + 200 pivots, and
-    SolverError on internal numerical failures.
+    SolverError on internal numerical failures; lp keeps its state only from
+    a verdict.
     """
     n = lp.nvars
     m = len(lp.rows)
-    A = np.zeros((m, n + m))
-    b = np.zeros(m)
-    for i, row in enumerate(lp.rows):
-        for j, a in row.coeffs:
-            A[i, j] = a
-        A[i, n + i] = 1.0 if row.sense == LE else -1.0
-        b[i] = row.rhs
-    upper = np.full(n + m, np.inf)
-    upper[:n] = 1.0
+    dense = lp._dense[:m]
+    sign, b = dense[:, n], dense[:, n + 1]
+    K = np.zeros((m, n + m))  # [A | +-I], the constraint matrix with its slacks
+    K[:, :n] = dense[:, :n]
+    K[:, n:] = np.diag(sign)
     cost = np.zeros(n + m)
     cost[:n] = lp.objective
     # round-off in a slack's reduced cost grows with the costs' scale
     slack_tol = _PIVOT_EPS * max(1.0, float(np.abs(cost).max()))
 
-    basis, at_upper = lp._basis or (np.zeros(0, dtype=int), np.zeros(n, dtype=bool))
-    basis = np.concatenate([basis, np.arange(n + len(basis), n + m)])
-    at_upper = np.concatenate([at_upper, np.zeros(n + m - at_upper.size, dtype=bool)])
-    nonbasic = np.ones(n + m, dtype=bool)
-    nonbasic[basis] = False
+    T, d, xb, basis, side = _border(lp._tableau, K, sign, b)
+    # a basic value above hi must leave; only structurals have an upper bound
+    hi = np.where(basis < n, 1.0 + _BOUND_TOL, np.inf)
 
     cap = 50 * (n + m) + 200
     pivots = 0
-    since = _REFACTOR  # pivots since B^-1 was factored; _REFACTOR asks for a fresh one
+    since = 0  # pivots since the tableau was last factored or bordered
     while True:
         if since >= _REFACTOR:
-            try:
-                Binv = np.linalg.inv(A[:, basis])
-            except np.linalg.LinAlgError:
-                raise SolverError("singular working basis in simplex") from None
+            T, d, xb = _factor(K, b, cost, basis, side, slack_tol)
             since = 0
-        d = cost - (cost[basis] @ Binv) @ A
-        d[basis] = 0.0  # basic variables never price
-        if since == 0:
-            # seat each nonbasic structural at the bound its reduced cost
-            # favours: on a first solve that is the bound its cost favours,
-            # later it only mends round-off; a slack has no upper bound to take
-            at_upper[:n] = (d[:n] < -_PIVOT_EPS) | (at_upper[:n] & (d[:n] <= _PIVOT_EPS))
-            if np.any(d[n:] < -slack_tol):
-                raise SolverError("unbounded improving direction in simplex")
-        x = np.where(at_upper, upper, 0.0)
-        x[basis] = 0.0
-        xb = Binv @ (b - A @ x)
-        ub = upper[basis]
-        out = np.flatnonzero((xb < -_BOUND_TOL) | (xb > ub + _BOUND_TOL))
+        out = ((xb < -_BOUND_TOL) | (xb > hi)).nonzero()[0]
         if out.size == 0:
             if since:
                 since = _REFACTOR
                 continue
-            x[basis] = xb
             break
-        r = int(out[np.argmin(basis[out])])  # Bland: smallest variable index leaves
-        to_upper = bool(xb[r] > ub[r])
-        alpha = Binv[r] @ A
-        # > 0 where moving column j off its bound raises x_Br
-        raises = np.where(at_upper, alpha, -alpha)
-        eligible = nonbasic & ((-raises if to_upper else raises) > _PIVOT_EPS)
-        candidates = np.flatnonzero(eligible)
+        r = out[basis[out].argmin()]  # Bland: smallest variable index leaves
+        to_upper = bool(xb[r] > 0.0)
+        alpha = T[r]
+        raises = alpha * side  # > 0 where moving column j off its bound raises x_Br
+        eligible = (raises < -_PIVOT_EPS) if to_upper else (raises > _PIVOT_EPS)
+        candidates = eligible.nonzero()[0]
         if candidates.size == 0:
             if since:
                 since = _REFACTOR
                 continue
             # x_Br cannot reach its bound: row r of B^-1 is a Farkas ray
-            lp._basis = (basis, at_upper)
+            lp._tableau = (T, d, xb, basis, side)
             return LpOutcome("infeasible", None, None, pivots)
-        ratio = np.abs(d[candidates]) / np.abs(alpha[candidates])
-        q = int(candidates[np.argmax(ratio <= ratio.min() + _RATIO_TIE)])
+        ratio = np.abs(d[candidates] / alpha[candidates])
+        q = candidates[(ratio <= ratio.min() + _RATIO_TIE).argmax()]
         pivots += 1
         if pivots > cap:
             raise LpIterationLimit(f"simplex exceeded {cap} pivots")
-        col = Binv @ A[:, q]
-        pivot_row = Binv[r] / col[r]
-        Binv -= np.outer(col, pivot_row)
-        Binv[r] = pivot_row
-        gone = basis[r]
-        at_upper[gone] = to_upper
-        nonbasic[gone] = True
+        # x_q moves off its bound until x_Br reaches the bound it broke
+        col = T[:, q].copy()
+        step = (xb[r] - (1.0 if to_upper else 0.0)) / col[r]
+        xb -= step * col
+        xb[r] = (1.0 if side[q] > 0.0 else 0.0) + step
+        pivot_row = alpha / col[r]
+        T -= col[:, None] * pivot_row
+        T[r] = pivot_row
+        d -= d[q] * pivot_row
+        side[basis[r]] = 1.0 if to_upper else -1.0
+        side[q] = 0.0
         basis[r] = q
-        at_upper[q] = False
-        nonbasic[q] = False
+        hi[r] = 1.0 + _BOUND_TOL if q < n else np.inf
         since += 1
 
-    lp._basis = (basis, at_upper)
-    xs = np.clip(x[:n], 0.0, 1.0)
-    _audit_rows(lp, A, b, xs)
-    return LpOutcome("optimal", float(cost[:n] @ xs), tuple(float(v) for v in xs), pivots)
+    lp._tableau = (T, d, xb, basis, side)
+    xs = _point(xb, basis, side)[:n].clip(0.0, 1.0)
+    _audit_rows(lp, xs)
+    return LpOutcome("optimal", float(cost[:n] @ xs), tuple(xs.tolist()), pivots)
 
 
-def _audit_rows(lp, A, b, xs):
+def _point(xb, basis, side):
+    """The basic solution: nonbasic columns at their bounds, basic ones at x_B."""
+    x = np.where(side > 0.0, 1.0, 0.0)
+    x[basis] = xb
+    return x
+
+
+def _border(tableau, K, sign, b):
+    """Copies of the kept tableau state, bordered with rows len(basis).. of K.
+
+    A new row's slack is basic.  Its tableau row is its row of K with the
+    basic columns eliminated by the rows of T where they are basic, times
+    the slack sign; reduced costs are unchanged (a slack costs nothing), and
+    the slack's value is the row's residual at the current point.
+    """
+    T, d, xb, basis, side = tableau
+    m0, m = basis.size, K.shape[0]
+    if m == m0:
+        return T.copy(), d.copy(), xb.copy(), basis.copy(), side.copy()
+    n = side.size - m0
+    new = K[m0:]
+    bordered = np.zeros((m, n + m))
+    bordered[:m0, :n + m0] = T
+    bordered[m0:] = sign[m0:, None] * (new - new[:, basis] @ bordered[:m0])
+    x = _point(xb, basis, side)
+    fresh = np.zeros(m - m0)
+    return (
+        bordered,
+        np.concatenate([d, fresh]),
+        np.concatenate([xb, sign[m0:] * (b[m0:] - new[:, :n + m0] @ x)]),
+        np.concatenate([basis, np.arange(n + m0, n + m)]),
+        np.concatenate([side, fresh]),
+    )
+
+
+def _factor(K, b, cost, basis, side, slack_tol):
+    """Fresh (T, d, x_B) from an inverse of the basis matrix.
+
+    Reseats each nonbasic structural at the bound its reduced cost favours,
+    which only mends round-off, and raises if a slack prices negative.
+    """
+    try:
+        Binv = np.linalg.inv(K[:, basis])
+    except np.linalg.LinAlgError:
+        raise SolverError("singular working basis in simplex") from None
+    d = cost - (cost[basis] @ Binv) @ K
+    d[basis] = 0.0  # basic variables never price
+    n = side.size - basis.size
+    dn = d[:n]
+    at_upper = (dn < -_PIVOT_EPS) | ((side[:n] > 0.0) & (dn <= _PIVOT_EPS))
+    side[:n] = np.where(at_upper, 1.0, -1.0)
+    side[basis] = 0.0
+    if (d[n:] < -slack_tol).any():
+        raise SolverError("unbounded improving direction in simplex")
+    x = np.where(side > 0.0, 1.0, 0.0)
+    return Binv @ K, d, Binv @ (b - K @ x)
+
+
+def _audit_rows(lp, xs):
     """Raise unless the clamped point meets every row within the tolerance.
 
-    A's slack column for row i is +1 on an LE row and -1 on a GE row, so
-    slack sign times (lhs - rhs) is the row's violation.
+    A row's violation is its slack sign (+1 on LE, -1 on GE) times lhs - rhs.
     """
     n = lp.nvars
+    dense = lp._dense[: len(lp.rows)]
+    sign, b = dense[:, n], dense[:, n + 1]
     tol = 10.0 * EPS_FEAS * (1.0 + float(np.abs(b).sum()))
-    lhs = A[:, :n] @ xs
-    sign = A[:, n:].diagonal()
+    lhs = dense[:, :n] @ xs
     bad = np.flatnonzero(sign * (lhs - b) > tol)
     if bad.size:
         i = int(bad[0])

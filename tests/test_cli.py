@@ -406,10 +406,10 @@ def test_generate_setcover_reduce(capsys, tmp_path):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _run_proc(args):
+def _run_proc(args, **env):
     return subprocess.run(
         [sys.executable, "-m", "pvcover", *args],
-        capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC, **env},
     )
 
 def test_cli_byte_identical_across_processes(tmp_path, star5):
@@ -424,6 +424,21 @@ def test_cli_byte_identical_across_processes(tmp_path, star5):
     fourth = _run_proc(["verify", str(path), "--trials", "500", "--seed", "9"])
     assert third.returncode == 0
     assert third.stdout == fourth.stdout
+
+
+def test_solve_byte_identical_across_blas_thread_counts(tmp_path):
+    # threaded BLAS kernels sum in another order than one thread; on this
+    # instance that once tipped a tolerance test and moved the cut path
+    # (cuts 37 against 36, cost 166 against 177), so the CLI pins one thread
+    path = tmp_path / "n90.pvc"
+    gen = _run_proc(["generate", "random", "--n", "90", "--m", "234", "--r", "18",
+                     "--seed", "5", "--weight-max", "3", "--out", str(path)])
+    assert gen.returncode == 0
+    argv = ["solve", str(path), "--seed", "1", "--prune"]
+    one = _run_proc(argv, OPENBLAS_NUM_THREADS="1")
+    two = _run_proc(argv, OPENBLAS_NUM_THREADS="2")
+    assert one.returncode == 0 and one.stderr == b""
+    assert one.stdout == two.stdout
 
 
 def test_exact_byte_identical_and_pinned(tmp_path):

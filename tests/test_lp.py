@@ -8,11 +8,13 @@ it is a genuinely independent code path: no simplex, no pivoting.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import pvcover as pv
+from pvcover import relaxation
 from pvcover.lp import GE, LE, LinearProgram, _audit_rows, lp_solve
 
 FEAS_TOL = 1e-7
@@ -176,6 +178,89 @@ def test_lp_ladder_values():
     assert pv.solve_relaxation(inst).objective == pytest.approx(79.980241, abs=1e-6)
 
 
+def test_lp_work_counters_pinned(monkeypatch):
+    # LP solves and total pivots of the natural and strengthened loops on the
+    # ladder cells above; a kernel change that keeps every pivot choice keeps them
+    pivots = []
+
+    def counting(lp):
+        out = lp_solve(lp)
+        pivots.append(out.pivots)
+        return out
+
+    monkeypatch.setattr(relaxation, "lp_solve", counting)
+    got = []
+    for n, m, r in ((40, 80, 8), (80, 200, 16)):
+        inst = pv.generate_random(n, m, r, 1, pv.GeneratorConfig(weight_range=(1, 3)))
+        for solve in (pv.solve_natural_lp, pv.solve_relaxation):
+            pivots.clear()
+            solve(inst)
+            got.append((len(pivots), sum(pivots)))
+    assert got == [(7, 92), (13, 76), (13, 493), (61, 575)]
+
+
+def batched_lp(rng):
+    """An objective and 2-6 batches of rows of both senses, up to n rows each.
+
+    Costs are generic reals, so an optimum is a unique point.  GE rows ask
+    for at most two thirds of their coefficient sum and LE rows allow at
+    least half of it, so some sequences turn infeasible partway.
+    """
+    n = int(rng.integers(4, 61))
+    objective = rng.uniform(-0.5, 2.0, size=n)
+    batches = []
+    for _ in range(int(rng.integers(2, 7))):
+        batch = []
+        for _ in range(int(rng.integers(1, n + 1))):
+            idx = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False)
+            coeffs = {int(j): float(rng.integers(1, 4)) for j in idx}
+            total = int(sum(coeffs.values()))
+            if rng.random() < 0.8:
+                batch.append((coeffs, float(rng.integers(1, max(1, 2 * total // 3) + 1)), GE))
+            else:
+                batch.append((coeffs, float(rng.integers(total // 2, total + 1)), LE))
+        batches.append(batch)
+    return objective, batches
+
+
+def test_warm_solve_after_batched_appends_matches_a_cold_solve(monkeypatch):
+    # the natural loop appends many rows per round; after each batch the
+    # carried tableau must give what a fresh LinearProgram with the same rows
+    # gives, also after an infeasible verdict and across a mid-solve refactor.
+    # A warm solve factors the basis only every 32 pivots and before a
+    # verdict reached after a pivot, never at its start.
+    factored = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: factored.append(1) or inv(a))
+    rng = np.random.default_rng(5)
+    after_infeasible = long_warm = 0
+    for _ in range(40):
+        objective, batches = batched_lp(rng)
+        scale = 1.0 + float(np.abs(objective).sum())
+        lp = LinearProgram(list(objective))
+        infeasible = False
+        for batch in batches:
+            for coeffs, rhs, sense in batch:
+                lp.add_row(coeffs, rhs, sense)
+            factored.clear()
+            warm = lp_solve(lp)
+            assert len(factored) <= math.ceil(warm.pivots / 32)
+            cold = LinearProgram(list(objective))
+            for row in lp.rows:
+                cold.add_row(row.coeffs, row.rhs, row.sense)
+            want = lp_solve(cold)
+            assert warm.status == want.status
+            if want.status == "optimal":
+                assert abs(warm.value - want.value) <= 1e-9 * scale
+                assert np.max(np.abs(np.subtract(warm.x, want.x))) <= 1e-9 * scale
+            after_infeasible += infeasible
+            infeasible = infeasible or warm.status == "infeasible"
+            long_warm += warm.pivots > 32 and len(lp.rows) > len(batch)
+    # both cases are exercised
+    assert after_infeasible >= 10
+    assert long_warm >= 3
+
+
 def test_add_row_validation():
     lp = LinearProgram([1.0, 1.0])
     with pytest.raises(pv.InputError):
@@ -206,21 +291,9 @@ def test_solution_satisfies_rows_it_was_solved_with():
 
 
 
-def _kernel_matrix(lp):
-    """A and b laid out as lp_solve lays them out: one slack column per row,
-    +1 for LE and -1 for GE."""
-    n, m = lp.nvars, len(lp.rows)
-    A = np.zeros((m, n + m))
-    for i, row in enumerate(lp.rows):
-        for j, a in row.coeffs:
-            A[i, j] = a
-        A[i, n + i] = 1.0 if row.sense == LE else -1.0
-    return A, np.array([row.rhs for row in lp.rows])
-
-
-def _first_bad_row(lp, xs, b):
+def _first_bad_row(lp, xs):
     """Row-by-row reference for the audit: the first violated row and its lhs."""
-    tol = 10.0 * pv.EPS_FEAS * (1.0 + float(np.abs(b).sum()))
+    tol = 10.0 * pv.EPS_FEAS * (1.0 + sum(abs(row.rhs) for row in lp.rows))
     for i, row in enumerate(lp.rows):
         lhs = sum(a * xs[j] for j, a in row.coeffs)
         if (lhs < row.rhs - tol) if row.sense == GE else (lhs > row.rhs + tol):
@@ -230,14 +303,13 @@ def _first_bad_row(lp, xs, b):
 
 def test_audit_names_the_first_violated_row():
     lp = LinearProgram([1.0, 1.0]).add_row({0: 1.0, 1: 1.0}, 1.0, GE).add_row({0: 1.0}, 0.5, LE)
-    A, b = _kernel_matrix(lp)
-    _audit_rows(lp, A, b, np.array([0.5, 0.5]))  # both rows tight
+    _audit_rows(lp, np.array([0.5, 0.5]))  # both rows tight
     with pytest.raises(pv.SolverError, match=r"lhs=0\.75, rhs=1\.0, sense=>="):
-        _audit_rows(lp, A, b, np.array([0.5, 0.25]))
+        _audit_rows(lp, np.array([0.5, 0.25]))
     with pytest.raises(pv.SolverError, match=r"lhs=0\.75, rhs=0\.5, sense=<="):
-        _audit_rows(lp, A, b, np.array([0.75, 0.5]))
+        _audit_rows(lp, np.array([0.75, 0.5]))
     with pytest.raises(pv.SolverError, match=r"lhs=0\.75, rhs=1\.0, sense=>="):
-        _audit_rows(lp, A, b, np.array([0.75, 0.0]))  # both rows fail; the first is named
+        _audit_rows(lp, np.array([0.75, 0.0]))  # both rows fail; the first is named
 
 
 def test_audit_agrees_with_the_row_by_row_reference():
@@ -248,16 +320,15 @@ def test_audit_agrees_with_the_row_by_row_reference():
         lp = LinearProgram(list(objective))
         for coeffs, rhs, sense in rows:
             lp.add_row(dict(enumerate(coeffs)), rhs, sense)
-        A, b = _kernel_matrix(lp)
         xs = rng.random(lp.nvars)
-        want = _first_bad_row(lp, xs, b)
+        want = _first_bad_row(lp, xs)
         if want is None:
-            _audit_rows(lp, A, b, xs)
+            _audit_rows(lp, xs)
             continue
         flagged += 1
         i, lhs = want
         with pytest.raises(pv.SolverError) as err:
-            _audit_rows(lp, A, b, xs)
+            _audit_rows(lp, xs)
         got = float(str(err.value).split("lhs=")[1].split(",")[0])
         assert got == pytest.approx(lhs, abs=1e-12)
         assert f"rhs={lp.rows[i].rhs!r}, sense={lp.rows[i].sense})" in str(err.value)
