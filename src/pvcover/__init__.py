@@ -24,6 +24,7 @@ from .instance import (
     Group,
     Instance,
     SetCoverInstance,
+    VertexSelection,
     check_strict_partition,
     coverage,
     generate_random,
@@ -43,19 +44,16 @@ from .relaxation import (
     KnapsackCoverConstraint,
     build_kc_constraint,
     capped_coverage_cut,
-    residual,
     separate,
     solve_natural_lp,
     solve_relaxation,
     threshold_set,
-    wdeg,
 )
 from .rounding import (
     GroupRate,
     RoundingConfig,
     RoundSamples,
     SolveReport,
-    VertexSelection,
     expected_round_cost,
     precondition_margins,
     round_once,
@@ -103,8 +101,6 @@ __all__ = [
     "CappedCoverageCut",
     "FractionalSolution",
     "threshold_set",
-    "residual",
-    "wdeg",
     "build_kc_constraint",
     "capped_coverage_cut",
     "separate",

@@ -80,6 +80,9 @@ def _cmd_solve(args) -> int:
         "round",
         lambda: solve_rounded(inst, frac, RoundingConfig(seed=args.seed), prune=args.prune),
     )
+    # the log is written first, so a run that cannot write it prints no report
+    if args.cut_log:
+        _emit("".join(line + "\n" for line in cut_log), args.cut_log)
     _print_instance_header(args, inst)
     print(f"mode: {args.mode}")
     if frac.cost_cap is not None:
@@ -90,8 +93,6 @@ def _cmd_solve(args) -> int:
         for stage, seconds in timings.items():
             print(f"time_{stage}: {seconds:.6f}")
     print("chosen: " + ",".join(str(v) for v in sel.chosen))
-    if args.cut_log:
-        _emit("".join(line + "\n" for line in cut_log), args.cut_log)
     return 0
 
 

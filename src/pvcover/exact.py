@@ -10,6 +10,10 @@ Every prune is strict, so each subtree that could hold an equal-cost optimum
 is still searched, and among equal-cost optima the lexicographically
 smallest chosen set (as a sorted tuple) wins, which keeps fixtures
 reproducible.
+
+Two CoverCounts follow the path: one marks the included vertices (need 1:
+the weight they cover), the other the excluded ones (need 2: the weight
+of edges with both ends excluded, which no completion can cover).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from operator import ge, le
 
 from .errors import InputError
 from .greedy import greedy_solve
-from .instance import Instance
+from .instance import CoverCounts, Instance
 
 __all__ = ["ExactResult", "exact_solve", "DEFAULT_LIMIT"]
 
@@ -35,23 +39,18 @@ class ExactResult:
 
 def exact_solve(inst: Instance, limit: int = DEFAULT_LIMIT) -> ExactResult:
     """Provable optimum; refuses instances with more than limit vertices."""
-    n, m, r = inst.n, inst.m, inst.r
+    n = inst.n
     if n > limit:
         raise InputError(f"instance has {n} vertices, exact mode is capped at {limit}")
 
     costs = inst.costs
     order = sorted(range(n), key=lambda v: (-costs[v], v))
-    inc = inst.incidence
-    incident, edge_groups = inc.vertex_edges, inc.edge_groups
-    weight = [e.weight for e in inst.edges]
     targets = [g.target for g in inst.groups]
     # weight each group can lose and still reach its target
-    slack = [inst.group_weight(gi) - targets[gi] for gi in range(r)]
+    slack = [inst.group_weight(gi) - targets[gi] for gi in range(inst.r)]
 
-    chosen_ends = [0] * m  # chosen endpoints per edge
-    gone_ends = [0] * m  # excluded endpoints per edge
-    covered = [0] * r  # weight covered by the chosen set
-    lost = [0] * r  # weight no completion of this node can ever cover
+    covered = CoverCounts(inst, 1)  # marks the included vertices
+    lost = CoverCounts(inst, 2)  # marks the excluded vertices
 
     # the greedy cover is feasible (Instance rejects targets above group
     # weight), so it is an incumbent before the first node
@@ -59,34 +58,6 @@ def exact_solve(inst: Instance, limit: int = DEFAULT_LIMIT) -> ExactResult:
     best = [greedy.cost, greedy.chosen]  # cost, sorted chosen tuple
     cheapest = costs[order[-1]]  # least any vertex still to decide can add
     nodes = 0
-
-    def include(v):
-        for eid in incident[v]:
-            chosen_ends[eid] += 1
-            if chosen_ends[eid] == 1:
-                for gi in edge_groups[eid]:
-                    covered[gi] += weight[eid]
-
-    def uninclude(v):
-        for eid in incident[v]:
-            if chosen_ends[eid] == 1:
-                for gi in edge_groups[eid]:
-                    covered[gi] -= weight[eid]
-            chosen_ends[eid] -= 1
-
-    def exclude(v):
-        for eid in incident[v]:
-            gone_ends[eid] += 1
-            if gone_ends[eid] == 2:
-                for gi in edge_groups[eid]:
-                    lost[gi] += weight[eid]
-
-    def unexclude(v):
-        for eid in incident[v]:
-            if gone_ends[eid] == 2:
-                for gi in edge_groups[eid]:
-                    lost[gi] -= weight[eid]
-            gone_ends[eid] -= 1
 
     def settle(cur_cost, picked, idx):
         # picked is already feasible; the only completions worth a look add
@@ -109,27 +80,27 @@ def exact_solve(inst: Instance, limit: int = DEFAULT_LIMIT) -> ExactResult:
     while True:
         nodes += 1
         idx = len(path)
-        descend = cur_cost <= best[0] and all(map(le, lost, slack))
-        if descend and all(map(ge, covered, targets)):
+        descend = cur_cost <= best[0] and all(map(le, lost.weights, slack))
+        if descend and all(map(ge, covered.weights, targets)):
             settle(cur_cost, [order[i] for i in range(idx) if path[i]], idx)
             descend = False
         # not yet feasible: some vertex still to decide must be taken
         if descend and idx < n and cur_cost + cheapest <= best[0]:
             v = order[idx]
-            include(v)
+            covered.mark(v)
             cur_cost += costs[v]
             path.append(True)
             continue
         # backtrack to the deepest include decision and flip it to exclude
         while path and not path[-1]:
-            unexclude(order[len(path) - 1])
+            lost.unmark(order[len(path) - 1])
             path.pop()
         if not path:
             break
         v = order[len(path) - 1]
-        uninclude(v)
+        covered.unmark(v)
         cur_cost -= costs[v]
-        exclude(v)
+        lost.mark(v)
         path[-1] = False
 
     return ExactResult(cost=best[0], chosen=best[1], nodes=nodes)

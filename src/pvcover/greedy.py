@@ -3,55 +3,35 @@
 Each step takes the vertex maximizing (sum over groups of min(new weight it
 covers, remaining demand)) per unit cost, comparing ratios in exact integer
 arithmetic, so a free vertex with positive gain ranks first; ties go to the
-lower vertex id.
+lower vertex id.  The covered weights are kept by one CoverCounts, which
+also hands them to the returned selection.
 """
 
 from __future__ import annotations
 
 from .errors import SolverError
-from .instance import Instance
-from .rounding import VertexSelection
+from .instance import CoverCounts, Instance, VertexSelection
 
 __all__ = ["greedy_solve"]
 
 
 def greedy_solve(inst: Instance) -> VertexSelection:
     """Deterministic greedy cover; always feasible since all vertices are."""
-    n, m = inst.n, inst.m
     costs = inst.costs
-    inc = inst.incidence
-    incident, edge_groups = inc.vertex_edges, inc.edge_groups
-    weight = [e.weight for e in inst.edges]
-
+    targets = [g.target for g in inst.groups]
+    counts = CoverCounts(inst, 1)
+    covered = counts.weights
     chosen: set[int] = set()
-    edge_covered = [False] * m
-    remaining = [g.target for g in inst.groups]
 
-    def gain(v) -> int:
-        fresh: dict[int, int] = {}
-        for eid in incident[v]:
-            if edge_covered[eid]:
-                continue
-            for gi in edge_groups[eid]:
-                fresh[gi] = fresh.get(gi, 0) + weight[eid]
-        return sum(min(w, remaining[gi]) for gi, w in fresh.items())
-
-    def take(v):
-        chosen.add(v)
-        for eid in incident[v]:
-            if edge_covered[eid]:
-                continue
-            edge_covered[eid] = True
-            for gi in edge_groups[eid]:
-                remaining[gi] = max(0, remaining[gi] - weight[eid])
-
-    while any(remaining):
+    while any(w < t for w, t in zip(covered, targets)):
         best_v = -1
         best_gain = 0
-        for v in range(n):
+        for v in range(inst.n):
             if v in chosen:
                 continue
-            g = gain(v)
+            g = sum(
+                min(w, max(0, targets[gi] - covered[gi])) for gi, w in counts.delta(v).items()
+            )
             if g <= 0:
                 continue
             # a free vertex with positive gain outranks every priced one;
@@ -60,6 +40,10 @@ def greedy_solve(inst: Instance) -> VertexSelection:
                 best_v, best_gain = v, g
         if best_v < 0:
             raise SolverError("greedy found no vertex with positive gain on an unmet group")
-        take(best_v)
+        chosen.add(best_v)
+        counts.mark(best_v)
 
-    return VertexSelection.from_set(inst, chosen)
+    picked = tuple(sorted(chosen))
+    return VertexSelection(
+        chosen=picked, cost=sum(costs[v] for v in picked), covered=tuple(covered)
+    )

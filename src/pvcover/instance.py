@@ -1,4 +1,10 @@
-"""Data model for partition vertex cover: validation, text format, generators."""
+"""Data model for partition vertex cover: validation, text format, generators.
+
+It also owns the coverage rule: a group counts a member edge's weight once
+either end is picked.  coverage and covered_weights evaluate it for whole
+vertex sets; CoverCounts keeps it up to date one vertex at a time for the
+greedy, branch and bound and pruning loops.
+"""
 
 from __future__ import annotations
 
@@ -28,6 +34,7 @@ __all__ = [
     "reduce_set_cover",
     "covered_weights",
     "coverage",
+    "VertexSelection",
     "is_feasible",
 ]
 
@@ -160,8 +167,8 @@ def check_strict_partition(inst: Instance) -> None:
                     f"strict partition violated: edge {eid} is in groups {seen[eid]} and {gi}"
                 )
             seen[eid] = gi
-    missing = [eid for eid in range(inst.m) if eid not in seen]
-    if missing:
+    if len(seen) < inst.m:
+        missing = _name_ids(eid for eid in range(inst.m) if eid not in seen)
         raise InputError(f"strict partition violated: edges {missing} belong to no group")
 
 
@@ -174,6 +181,13 @@ def _parse_int(tok: str, lineno: int, what: str) -> int:
         return int(tok, 10)
     except ValueError:
         raise InputError(f"line {lineno}: {what} must be an integer, got {tok!r}") from None
+
+
+def _parse_count(tok: str, lineno: int, what: str) -> int:
+    count = _parse_int(tok, lineno, what)
+    if count < 0:
+        raise InputError(f"line {lineno}: {what} must be non-negative, got {count}")
+    return count
 
 
 def _parse_gid(tok: str, lineno: int) -> int:
@@ -235,9 +249,9 @@ def parse_instance(text: str | bytes, strict_partition: bool = False) -> Instanc
         raise InputError("empty instance file") from None
     if len(toks) != 5 or toks[0] != "p" or toks[1] != "pvc":
         raise InputError(f"line {lineno}: expected header 'p pvc <n> <m> <r>'")
-    n = _parse_int(toks[2], lineno, "vertex count")
-    m = _parse_int(toks[3], lineno, "edge count")
-    r = _parse_int(toks[4], lineno, "group count")
+    n = _parse_count(toks[2], lineno, "vertex count")
+    m = _parse_count(toks[3], lineno, "edge count")
+    r = _parse_count(toks[4], lineno, "group count")
 
     costs: dict[int, int] = {}
     edges: dict[int, Edge] = {}
@@ -368,8 +382,8 @@ def parse_set_cover(text: str | bytes) -> SetCoverInstance:
         raise InputError("empty set cover file") from None
     if len(toks) != 4 or toks[0] != "p" or toks[1] != "sc":
         raise InputError(f"line {lineno}: expected header 'p sc <elements> <sets>'")
-    r = _parse_int(toks[2], lineno, "element count")
-    m = _parse_int(toks[3], lineno, "set count")
+    r = _parse_count(toks[2], lineno, "element count")
+    m = _parse_count(toks[3], lineno, "set count")
     sets: dict[int, tuple[int, ...]] = {}
     costs: dict[int, int] = {}
     for lineno, toks in lines:
@@ -406,7 +420,7 @@ class Incidence:
     """Adjacency of an instance, built once per instance object (Instance.incidence).
 
     vertex_edges[v] lists the edges at v and edge_groups[e] the groups that
-    hold e, in id order and as Python ints (branch and bound walks them in
+    hold e, in id order and as Python ints (CoverCounts walks them in
     Python).  group_arrays[g] holds read-only int64 arrays (u, v, weight)
     over group g's member edges in membership order.
     """
@@ -441,10 +455,78 @@ def coverage(inst: Instance, chosen) -> tuple[int, ...]:
     return tuple(int(w) for w in covered_weights(inst, picked))
 
 
+@dataclass(frozen=True)
+class VertexSelection:
+    """A chosen vertex set with its exact cost and per-group covered weight."""
+
+    chosen: tuple[int, ...]
+    cost: int
+    covered: tuple[int, ...]
+
+    @classmethod
+    def from_set(cls, inst: Instance, chosen) -> "VertexSelection":
+        picked = tuple(sorted(set(chosen)))
+        return cls(
+            chosen=picked,
+            cost=sum(inst.costs[v] for v in picked),
+            covered=coverage(inst, picked),
+        )
+
+
 def is_feasible(inst: Instance, chosen) -> bool:
     """True when every group's covered weight reaches its target."""
     got = coverage(inst, chosen)
     return all(w >= g.target for w, g in zip(got, inst.groups))
+
+
+class CoverCounts:
+    """Coverage of a marked vertex set, kept up to date one vertex at a time.
+
+    It counts the marked ends of each edge; weights[g] is the weight of
+    group g's member edges with at least `need` marked ends: with need 1 that
+    is the covered weight (coverage of the marked set), with need 2 the
+    weight no vertex outside the marked set can reach.  mark and unmark
+    expect v unmarked and marked respectively; each walks v's edges once.
+    """
+
+    def __init__(self, inst: Instance, need: int):
+        inc = inst.incidence
+        self._vertex_edges = inc.vertex_edges
+        self._edge_groups = inc.edge_groups
+        self._weight = [e.weight for e in inst.edges]
+        self._need = need
+        self._ends = [0] * inst.m
+        self.weights = [0] * inst.r
+
+    def delta(self, v: int, mark: bool = True) -> dict[int, int]:
+        """Per-group weight that marking (or unmarking) v would add (or remove)."""
+        ends, weight, edge_groups = self._ends, self._weight, self._edge_groups
+        # an edge crosses `need` when it sits one below it (mark) or at it (unmark)
+        at = self._need - 1 if mark else self._need
+        moved: dict[int, int] = {}
+        for eid in self._vertex_edges[v]:
+            if ends[eid] == at:
+                for gi in edge_groups[eid]:
+                    moved[gi] = moved.get(gi, 0) + weight[eid]
+        return moved
+
+    def mark(self, v: int) -> None:
+        ends, weights, weight, need = self._ends, self.weights, self._weight, self._need
+        edge_groups = self._edge_groups
+        for eid in self._vertex_edges[v]:
+            ends[eid] += 1
+            if ends[eid] == need:
+                for gi in edge_groups[eid]:
+                    weights[gi] += weight[eid]
+
+    def unmark(self, v: int) -> None:
+        ends, weights, weight, need = self._ends, self.weights, self._weight, self._need
+        edge_groups = self._edge_groups
+        for eid in self._vertex_edges[v]:
+            if ends[eid] == need:
+                for gi in edge_groups[eid]:
+                    weights[gi] -= weight[eid]
+            ends[eid] -= 1
 
 
 # ----------------------------------------------------------------------

@@ -30,8 +30,6 @@ __all__ = [
     "FractionalSolution",
     "threshold_set",
     "threshold_rows",
-    "residual",
-    "wdeg",
     "build_kc_constraint",
     "capped_coverage_cut",
     "separate",
@@ -69,34 +67,6 @@ class KnapsackCoverConstraint(_CoverRow):
 
     def key(self):
         return (self.group, self.suppressed)
-
-
-def residual(inst: Instance, group: int, suppressed) -> int:
-    """Demand of the group left uncovered once the suppressed set is picked."""
-    g = inst.groups[group]
-    picked = set(suppressed)
-    covered = 0
-    for eid in g.edges:
-        e = inst.edges[eid]
-        if e.u in picked or e.v in picked:
-            covered += e.weight
-    return max(0, g.target - covered)
-
-
-def wdeg(inst: Instance, group: int, v: int, suppressed) -> int:
-    """Weight v can still add to the group once the suppressed set is picked."""
-    picked = set(suppressed)
-    if v in picked:
-        raise ValueError(f"vertex {v} is in the suppressed set")
-    g = inst.groups[group]
-    total = 0
-    for eid in g.edges:
-        e = inst.edges[eid]
-        if e.u in picked or e.v in picked:
-            continue
-        if e.u == v or e.v == v:
-            total += e.weight
-    return total
 
 
 def _cover_row(inst, group, covered, truncate=True):

@@ -24,11 +24,10 @@ import numpy as np
 
 from .constants import EPS_OPT, ROUNDING_SCALE
 from .errors import RoundingFailure, SolverError
-from .instance import Instance, coverage, covered_weights, is_feasible
+from .instance import CoverCounts, Instance, VertexSelection, covered_weights, is_feasible
 from .relaxation import FractionalSolution, threshold_rows, threshold_set
 
 __all__ = [
-    "VertexSelection",
     "RoundingConfig",
     "SolveReport",
     "GroupRate",
@@ -51,24 +50,6 @@ ROUNDS_CONSTANT = 4
 
 # Attempts (each a fresh union of rounds) before solve_rounded gives up.
 MAX_RESTARTS = 8
-
-
-@dataclass(frozen=True)
-class VertexSelection:
-    """A chosen vertex set with its exact cost and per-group covered weight."""
-
-    chosen: tuple[int, ...]
-    cost: int
-    covered: tuple[int, ...]
-
-    @classmethod
-    def from_set(cls, inst: Instance, chosen) -> "VertexSelection":
-        picked = tuple(sorted(set(chosen)))
-        return cls(
-            chosen=picked,
-            cost=sum(inst.costs[v] for v in picked),
-            covered=coverage(inst, picked),
-        )
 
 
 @dataclass(frozen=True)
@@ -206,8 +187,10 @@ def precondition_margins(inst: Instance, x) -> tuple[tuple[int, float], ...]:
     """Normalized cover-row values for groups still unsatisfied by the threshold set.
 
     Entry (group, margin) with margin = sum over outside vertices of
-    min(wdeg, residual)/residual * x_v.  A clean point keeps every margin at
-    least 1 up to tolerance; the rounding driver refuses to start otherwise.
+    a_v / d * x_v, where d is the demand the threshold set leaves and a_v is
+    the weight v can still add, capped at d.  A clean point keeps every
+    margin at least 1 up to tolerance; the rounding driver refuses to start
+    otherwise.
     """
     return tuple(
         (row.group, sum(a / row.rhs * x[v] for v, a in row.coefficients))
@@ -218,24 +201,18 @@ def precondition_margins(inst: Instance, x) -> tuple[tuple[int, float], ...]:
 def _prune(inst, union: VertexSelection) -> tuple[int, ...]:
     """Drop redundant vertices of a feasible union, most expensive first, lower id on ties.
 
-    One covered-weights vector is kept: dropping v loses, in each group, the
-    weight of the member edges at v whose other end is no longer kept, so a
-    drop is tested in O(deg v).
+    One CoverCounts holds the kept set, so a drop is tested in O(deg v):
+    dropping v loses the member edges at v whose other end is not kept.
     """
-    index = inst.incidence
+    counts = CoverCounts(inst, 1)
+    for v in union.chosen:
+        counts.mark(v)
     kept = set(union.chosen)
-    covered = list(union.covered)
     for v in sorted(union.chosen, key=lambda v: (-inst.costs[v], v)):
-        lost: dict[int, int] = {}
-        for eid in index.vertex_edges[v]:
-            e = inst.edges[eid]
-            if (e.v if e.u == v else e.u) not in kept:
-                for gi in index.edge_groups[eid]:
-                    lost[gi] = lost.get(gi, 0) + e.weight
-        if all(covered[gi] - w >= inst.groups[gi].target for gi, w in lost.items()):
+        lost = counts.delta(v, mark=False)
+        if all(counts.weights[gi] - w >= inst.groups[gi].target for gi, w in lost.items()):
             kept.remove(v)
-            for gi, w in lost.items():
-                covered[gi] -= w
+            counts.unmark(v)
     return tuple(sorted(kept))
 
 

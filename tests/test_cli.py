@@ -106,13 +106,19 @@ def test_oversized_header_counts_are_exit_2(capsys, tmp_path):
         ("setcover-reduce", "p sc 99999999999999999999 1\ns 0 1 0 1\n"),
         ("setcover-reduce", "p sc 1000000 1\ns 0 1 0 1\n"),
     ]
-    for i, (command, text) in enumerate(cases):
+    negative = [
+        ("solve", "p pvc -1 0 1\n", "vertex count"),
+        ("setcover-reduce", "p sc -2 -1\n", "element count"),
+    ]
+    for i, (command, text, *named) in enumerate(cases + negative):
         path = tmp_path / f"case{i}.txt"
         path.write_text(text, encoding="utf-8")
         argv = ["solve", str(path)] if command == "solve" else ["generate", command, str(path)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err) < 200, err
+        for what in named:
+            assert err == f"error: line 1: {what} must be non-negative, got {text.split()[2]}\n"
 
 
 def test_int64_overflow_and_zero_groups_are_exit_2(capsys, tmp_path):
@@ -230,8 +236,9 @@ def test_unwritable_output_is_exit_2(capsys, tmp_path, star_file):
     )
     assert code == 2
     assert err.startswith("error: cannot write")
-    code, _, err = run_cli(capsys, "solve", star_file, "--cut-log", str(missing / "c.log"))
+    code, out, err = run_cli(capsys, "solve", star_file, "--cut-log", str(missing / "c.log"))
     assert code == 2
+    assert out == ""
     assert err.startswith("error: cannot write")
 
 
@@ -269,6 +276,14 @@ def test_strict_partition_flag_rejects_overlap(capsys, tmp_path):
     code, _, err = run_cli(capsys, "greedy", str(path), "--strict-partition")
     assert code == 2
     assert "partition" in err
+    # 1999 ungrouped parallel edges: the error names five of them
+    edges = "".join(f"e {eid} 0 1 1\n" for eid in range(2000))
+    path.write_text(f"p pvc 2 2000 1\nv 0 1\nv 1 1\n{edges}g 0 0\nk 0 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(path), "--strict-partition")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: strict partition violated: edges [1, 2, 3, 4, 5, ...] belong to no group\n"
+    )
 
 
 # ---------------------------------------------------------------- other commands

@@ -7,6 +7,7 @@ import pytest
 
 import pvcover as pv
 from conftest import PATH_TEXT, random_instances
+from pvcover.instance import CoverCounts, covered_weights
 
 
 def test_parse_basic_fields(path3):
@@ -189,6 +190,45 @@ def test_incidence_matches_brute_force_rebuild():
                 assert arr.dtype == np.int64 and not arr.flags.writeable
                 assert arr.tolist() == want
     assert shared  # the overlapping family puts some edges in several groups
+
+
+def test_cover_counts_follow_random_mark_unmark_sequences():
+    """After every step both counters equal whole-set references, and delta
+    predicted the step exactly; groups overlap and edges run parallel."""
+    rng = random.Random(7)
+    parallel = 0
+    for inst in random_instances(6, 7, 16, 3, weight_max=3, overlap=0.3):
+        parallel += len({(e.u, e.v) for e in inst.edges}) < inst.m
+        for need in (1, 2):
+            counts = CoverCounts(inst, need)
+            marked = set()
+            for _ in range(60):
+                v = rng.randrange(inst.n)
+                mark = v not in marked
+                before = list(counts.weights)
+                moved = counts.delta(v, mark=mark)
+                if mark:
+                    counts.mark(v)
+                    marked.add(v)
+                else:
+                    counts.unmark(v)
+                    marked.remove(v)
+                sign = 1 if mark else -1
+                assert [w - b for w, b in zip(counts.weights, before)] == [
+                    sign * moved.get(gi, 0) for gi in range(inst.r)
+                ]
+                if need == 1:
+                    picked = np.zeros(inst.n, dtype=bool)
+                    picked[list(marked)] = True
+                    want = covered_weights(inst, picked).tolist()
+                else:
+                    want = [
+                        sum(inst.edges[eid].weight for eid in g.edges
+                            if {inst.edges[eid].u, inst.edges[eid].v} <= marked)
+                        for g in inst.groups
+                    ]
+                assert counts.weights == want
+    assert parallel
 
 
 def test_set_cover_parse_and_serialize():

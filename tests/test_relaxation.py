@@ -1,7 +1,7 @@
 """Cover rows, separation, capped-coverage rows, and the cutting-plane solver.
 
 The oracle style throughout: every structured row the solver builds in one
-fused pass is re-derived here from the small public primitives (residual,
+fused pass is re-derived here from the small reference loops below (residual,
 wdeg, plain loops over edges), and solver outputs are checked against the
 exact branch-and-bound optimum and the natural relaxation.
 """
@@ -22,20 +22,48 @@ from conftest import random_instances
 # ---------------------------------------------------------------- primitives
 
 
+def residual(inst: pv.Instance, group: int, suppressed) -> int:
+    """Demand of the group left uncovered once the suppressed set is picked."""
+    g = inst.groups[group]
+    picked = set(suppressed)
+    covered = 0
+    for eid in g.edges:
+        e = inst.edges[eid]
+        if e.u in picked or e.v in picked:
+            covered += e.weight
+    return max(0, g.target - covered)
+
+
+def wdeg(inst: pv.Instance, group: int, v: int, suppressed) -> int:
+    """Weight v can still add to the group once the suppressed set is picked."""
+    picked = set(suppressed)
+    if v in picked:
+        raise ValueError(f"vertex {v} is in the suppressed set")
+    g = inst.groups[group]
+    total = 0
+    for eid in g.edges:
+        e = inst.edges[eid]
+        if e.u in picked or e.v in picked:
+            continue
+        if e.u == v or e.v == v:
+            total += e.weight
+    return total
+
+
 def test_residual_hand_values(star5, path3):
-    assert pv.residual(star5, 0, ()) == 1
-    assert pv.residual(star5, 0, (3,)) == 0  # one leaf already covers target 1
-    assert pv.residual(path3, 0, ()) == 2
-    assert pv.residual(path3, 0, (1,)) == 0  # middle vertex covers both edges
-    assert pv.residual(path3, 0, (0,)) == 1
+    assert residual(star5, 0, ()) == 1
+    assert residual(star5, 0, (3,)) == 0  # one leaf already covers target 1
+    assert residual(path3, 0, ()) == 2
+    assert residual(path3, 0, (1,)) == 0  # middle vertex covers both edges
+    assert residual(path3, 0, (0,)) == 1
 
 
 def test_wdeg_hand_values(star5):
-    assert pv.wdeg(star5, 0, 0, ()) == 5
-    assert pv.wdeg(star5, 0, 0, (1, 2)) == 3
-    assert pv.wdeg(star5, 0, 3, ()) == 1
+    assert wdeg(star5, 0, 0, ()) == 5
+    assert wdeg(star5, 0, 0, (1, 2)) == 3
+    assert wdeg(star5, 0, 3, ()) == 1
     with pytest.raises(ValueError):
-        pv.wdeg(star5, 0, 2, (2,))
+        wdeg(star5, 0, 2, (2,))
 
 
 def test_build_kc_constraint_star_and_path(star5, path3):
@@ -59,7 +87,7 @@ def test_build_kc_constraint_matches_primitive_recomputation():
         for gi in range(inst.r):
             picked = tuple(v for v in range(inst.n) if rng.random() < 0.3)
             row = pv.build_kc_constraint(inst, gi, picked)
-            left = pv.residual(inst, gi, picked)
+            left = residual(inst, gi, picked)
             if left == 0:
                 assert row is None
                 continue
@@ -67,7 +95,7 @@ def test_build_kc_constraint_matches_primitive_recomputation():
             for v in range(inst.n):
                 if v in picked:
                     continue
-                d = pv.wdeg(inst, gi, v, picked)
+                d = wdeg(inst, gi, v, picked)
                 if d > 0:
                     want[v] = min(left, d)
             assert row.rhs == left
@@ -85,7 +113,7 @@ def test_truncation_agrees_with_untruncated_at_integral_points():
                 continue
             x01 = [1.0 if rng.random() < 0.5 else 0.0 for _ in range(inst.n)]
             untrunc = sum(
-                pv.wdeg(inst, 0, v, picked) * x01[v]
+                wdeg(inst, 0, v, picked) * x01[v]
                 for v in range(inst.n)
                 if v not in picked
             )
@@ -98,7 +126,7 @@ def test_truncation_cuts_the_star_gap_point(degree):
     truncated one, which is the whole reason the rows are truncated."""
     star = pv.generate_star(degree)
     x = [1.0 / degree] + [0.0] * degree
-    untrunc = sum(pv.wdeg(star, 0, v, ()) * x[v] for v in range(star.n))
+    untrunc = sum(wdeg(star, 0, v, ()) * x[v] for v in range(star.n))
     assert untrunc >= 1.0 - 1e-9
     row = pv.build_kc_constraint(star, 0, ())
     assert not row.satisfied_by(x)
