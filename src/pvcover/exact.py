@@ -23,7 +23,7 @@ from operator import ge, le
 
 from .errors import InputError
 from .greedy import greedy_solve
-from .instance import CoverCounts, Instance
+from .instance import CoverCounts, Instance, VertexSelection
 
 __all__ = ["ExactResult", "exact_solve", "DEFAULT_LIMIT"]
 
@@ -42,7 +42,16 @@ def exact_solve(inst: Instance, limit: int = DEFAULT_LIMIT) -> ExactResult:
     n = inst.n
     if n > limit:
         raise InputError(f"instance has {n} vertices, exact mode is capped at {limit}")
+    return _search(inst, greedy_solve(inst))
 
+
+def _search(inst: Instance, greedy: VertexSelection) -> ExactResult:
+    """The search itself, with greedy_solve(inst)'s cover as the first incumbent.
+
+    The greedy cover is feasible (Instance rejects targets above group
+    weight), so the search prunes from its first node.
+    """
+    n = inst.n
     costs = inst.costs
     order = sorted(range(n), key=lambda v: (-costs[v], v))
     targets = [g.target for g in inst.groups]
@@ -52,9 +61,6 @@ def exact_solve(inst: Instance, limit: int = DEFAULT_LIMIT) -> ExactResult:
     covered = CoverCounts(inst, 1)  # marks the included vertices
     lost = CoverCounts(inst, 2)  # marks the excluded vertices
 
-    # the greedy cover is feasible (Instance rejects targets above group
-    # weight), so it is an incumbent before the first node
-    greedy = greedy_solve(inst)
     best = [greedy.cost, greedy.chosen]  # cost, sorted chosen tuple
     cheapest = costs[order[-1]]  # least any vertex still to decide can add
     nodes = 0

@@ -52,10 +52,12 @@ class LpOutcome:
 class LinearProgram:
     """An objective plus an append-only row list over [0, 1]-boxed variables.
 
-    Each row is also written once into a dense buffer laid out as
-    [a | slack sign | b], the slack sign +1 on an LE row and -1 on a GE row;
-    the buffer doubles when full.  The tableau state of the last lp_solve is
-    kept for the next to resume from.
+    Each row is also written once into the buffers the kernel reads: the
+    constraint matrix with its slacks [A | +-I], row i's slack sign (+1 on an
+    LE row, -1 on a GE row) at column n + i, and the rhs and sign vectors.
+    The buffers double when full.  The zero-padded cost vector and the slack
+    reduced-cost tolerance depend on the objective alone and are set once.
+    The tableau state of the last lp_solve is kept for the next to resume from.
     """
 
     def __init__(self, objective):
@@ -64,8 +66,10 @@ class LinearProgram:
             raise InputError("linear program needs at least one variable")
         self.rows: list[Row] = []
         n = self.nvars
-        self._dense = np.zeros((16, n + 2))
         cost = np.array(self.objective)
+        # round-off in a slack's reduced cost grows with the costs' scale
+        self._slack_tol = _PIVOT_EPS * max(1.0, float(np.abs(cost).max()))
+        self._grow(16)
         # (T, d, x_B, basis, side) of the last verdict, side being +1 on a
         # nonbasic column at its upper bound, -1 at its lower and 0 on a basic
         # one; with no rows every structural sits at the bound its cost favours
@@ -77,6 +81,22 @@ class LinearProgram:
     @property
     def nvars(self) -> int:
         return len(self.objective)
+
+    def _grow(self, cap: int) -> None:
+        """Reallocate the row buffers for cap rows, keeping the rows written so far."""
+        n, m = self.nvars, len(self.rows)
+        K = np.zeros((cap, n + cap))
+        sign, b, cost = np.zeros(cap), np.zeros(cap), np.zeros(n + cap)
+        if m:
+            K[:m, :n + m] = self._K[:m, :n + m]
+            sign[:m], b[:m] = self._sign[:m], self._b[:m]
+        cost[:n] = self.objective
+        self._K, self._sign, self._b, self._cost = K, sign, b, cost
+
+    def _arrays(self):
+        """Views of [A | +-I], the slack signs, the rhs and the padded costs."""
+        n, m = self.nvars, len(self.rows)
+        return self._K[:m, :n + m], self._sign[:m], self._b[:m], self._cost[:n + m]
 
     def add_row(self, coeffs, rhs, sense: str = GE) -> "LinearProgram":
         """Append one constraint; coeffs is a {var: coef} map or (var, coef) pairs."""
@@ -92,13 +112,13 @@ class LinearProgram:
                 raise InputError(f"row repeats variable {j}")
             seen.add(j)
         i = len(self.rows)
-        if i == len(self._dense):
-            self._dense = np.concatenate([self._dense, np.zeros_like(self._dense)])
-        dense = self._dense[i]
+        if i == len(self._b):
+            self._grow(2 * i)
+        row = self._K[i]
         for j, a in cleaned:
-            dense[j] = a
-        dense[-2] = 1.0 if sense == LE else -1.0
-        dense[-1] = float(rhs)
+            row[j] = a
+        self._sign[i] = row[self.nvars + i] = 1.0 if sense == LE else -1.0
+        self._b[i] = float(rhs)
         self.rows.append(Row(tuple(cleaned), float(rhs), sense))
         return self
 
@@ -118,16 +138,9 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     a verdict.
     """
     n = lp.nvars
-    m = len(lp.rows)
-    dense = lp._dense[:m]
-    sign, b = dense[:, n], dense[:, n + 1]
-    K = np.zeros((m, n + m))  # [A | +-I], the constraint matrix with its slacks
-    K[:, :n] = dense[:, :n]
-    K[:, n:] = np.diag(sign)
-    cost = np.zeros(n + m)
-    cost[:n] = lp.objective
-    # round-off in a slack's reduced cost grows with the costs' scale
-    slack_tol = _PIVOT_EPS * max(1.0, float(np.abs(cost).max()))
+    K, sign, b, cost = lp._arrays()
+    m = b.size
+    slack_tol = lp._slack_tol
 
     T, d, xb, basis, side = _border(lp._tableau, K, sign, b)
     # a basic value above hi must leave; only structurals have an upper bound
@@ -249,10 +262,9 @@ def _audit_rows(lp, xs):
     A row's violation is its slack sign (+1 on LE, -1 on GE) times lhs - rhs.
     """
     n = lp.nvars
-    dense = lp._dense[: len(lp.rows)]
-    sign, b = dense[:, n], dense[:, n + 1]
+    K, sign, b, _ = lp._arrays()
     tol = 10.0 * EPS_FEAS * (1.0 + float(np.abs(b).sum()))
-    lhs = dense[:, :n] @ xs
+    lhs = K[:, :n] @ xs
     bad = np.flatnonzero(sign * (lhs - b) > tol)
     if bad.size:
         i = int(bad[0])

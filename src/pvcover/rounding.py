@@ -103,16 +103,21 @@ def rounds_for(r: int) -> int:
     return ROUNDS_CONSTANT * math.ceil(math.log2(r + 1))
 
 
+def _plan(x):
+    """Threshold set, the other vertices in id order, and their pick probabilities 6 * x_v."""
+    sure = threshold_set(x)
+    taken = set(sure)
+    rest = [v for v in range(len(x)) if v not in taken]
+    return sure, rest, ROUNDING_SCALE * np.array([x[v] for v in rest])
+
+
 def _draw(x, trials: int, rng: np.random.Generator):
     """Threshold set, the other vertices, and a (trials, k) mask of their picks.
 
     Row t consumes the same doubles as the t-th rng.random(k) call: one
     uniform draw per below-threshold vertex, in vertex id order.
     """
-    sure = threshold_set(x)
-    taken = set(sure)
-    rest = [v for v in range(len(x)) if v not in taken]
-    probs = ROUNDING_SCALE * np.array([x[v] for v in rest])
+    sure, rest, probs = _plan(x)
     return sure, rest, rng.random((trials, len(rest))) < probs
 
 
@@ -138,15 +143,12 @@ class RoundSamples:
         return int(self.costs.shape[0])
 
 
-def simulate_rounds(inst: Instance, x, trials: int, rng: np.random.Generator) -> RoundSamples:
-    """Draw many independent rounds at once.
+def _rounds(inst: Instance, x, trials: int, rng: np.random.Generator):
+    """A vertex-major (n, trials) pick mask of independent rounds and their
+    (trials, r) per-group success.
 
-    Row t of the draw matrix consumes the same stream round_once would in
-    its t-th call on the same generator, so the two agree sample for sample.
-    Round t is row t of a (trials, n) pick mask: the threshold set plus
-    that row's draws.  Costs are the mask times the vertex costs, and a
-    group succeeds where covered_weights, the evaluator behind coverage,
-    reaches its target.
+    Round t is the threshold set plus row t of _draw's mask; a group succeeds
+    where covered_weights, the evaluator behind coverage, reaches its target.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -155,9 +157,20 @@ def simulate_rounds(inst: Instance, x, trials: int, rng: np.random.Generator) ->
     by_vertex = np.zeros((inst.n, trials), dtype=bool)
     by_vertex[list(sure)] = True
     by_vertex[rest] = picked.T
-    costs = np.array(inst.costs, dtype=np.int64) @ by_vertex
     targets = np.array([g.target for g in inst.groups], dtype=np.int64)
-    return RoundSamples(costs=costs, success=covered_weights(inst, by_vertex.T) >= targets)
+    return by_vertex, covered_weights(inst, by_vertex.T) >= targets
+
+
+def simulate_rounds(inst: Instance, x, trials: int, rng: np.random.Generator) -> RoundSamples:
+    """Draw many independent rounds at once.
+
+    Row t of the draw matrix consumes the same stream round_once would in
+    its t-th call on the same generator, so the two agree sample for sample.
+    Costs are the pick mask times the vertex costs.
+    """
+    by_vertex, success = _rounds(inst, x, trials, rng)
+    costs = np.array(inst.costs, dtype=np.int64) @ by_vertex
+    return RoundSamples(costs=costs, success=success)
 
 
 @dataclass(frozen=True)
@@ -169,10 +182,10 @@ class GroupRate:
 def single_round_success(inst: Instance, x, trials: int, seed: int) -> tuple[GroupRate, ...]:
     """Monte Carlo estimate of each group's single-round success probability."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    samples = simulate_rounds(inst, x, trials, rng)
+    _, success = _rounds(inst, x, trials, rng)
     rates = []
     for gi in range(inst.r):
-        p = float(samples.success[:, gi].mean())
+        p = float(success[:, gi].mean())
         radius = Z99 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
         rates.append(GroupRate(frequency=p, radius=radius))
     return tuple(rates)
@@ -234,13 +247,16 @@ def solve_rounded(
                 f"rounding precondition violated: group {gi} margin {margin:.9g} < 1"
             )
     rounds = rounds_for(inst.r)
+    sure, rest, probs = _plan(frac.x)
     root = np.random.SeedSequence(cfg.seed)
-    for attempt, attempt_seed in enumerate(root.spawn(MAX_RESTARTS)):
-        chosen: set[int] = set()
+    for attempt in range(MAX_RESTARTS):
+        # spawn numbers children by its running count, so this is
+        # root.spawn(MAX_RESTARTS)[attempt] without spawning the unused ones
+        (attempt_seed,) = root.spawn(1)
+        chosen = set(sure)
         for round_seed in attempt_seed.spawn(rounds):
             rng = np.random.Generator(np.random.Philox(round_seed))
-            sure, rest, picked = _draw(frac.x, 1, rng)
-            chosen.update(sure, compress(rest, picked[0]))
+            chosen.update(compress(rest, rng.random(len(rest)) < probs))
         union = VertexSelection.from_set(inst, chosen)
         if is_feasible(inst, union.chosen):
             pruned_cost = None

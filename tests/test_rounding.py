@@ -118,6 +118,16 @@ def test_solve_rounded_deterministic_and_feasible():
     assert pv.is_feasible(inst, sel_c.chosen)
 
 
+def _replay_attempt(inst, x, seed, attempt, rounds):
+    """The union of round_once over the documented seed tree's attempt."""
+    attempt_seed = np.random.SeedSequence(seed).spawn(MAX_RESTARTS)[attempt]
+    union: set[int] = set()
+    for round_seed in attempt_seed.spawn(rounds):
+        rng = np.random.Generator(np.random.Philox(round_seed))
+        union.update(pv.round_once(inst, x, rng).chosen)
+    return union
+
+
 def test_solve_rounded_union_replays_from_the_seed_tree(star5):
     """The documented stream layout: attempt streams are spawned off the seed,
     round streams off the attempt, one generator per round."""
@@ -125,12 +135,43 @@ def test_solve_rounded_union_replays_from_the_seed_tree(star5):
     cfg = pv.RoundingConfig(seed=77)
     sel, rep = pv.solve_rounded(star5, frac, cfg)
     assert rep.restarts == 0
-    attempt = np.random.SeedSequence(77).spawn(MAX_RESTARTS)[0]
-    want: set[int] = set()
-    for round_seed in attempt.spawn(rep.rounds):
-        rng = np.random.Generator(np.random.Philox(round_seed))
-        want.update(pv.round_once(star5, frac.x, rng).chosen)
-    assert set(sel.chosen) == want
+    assert set(sel.chosen) == _replay_attempt(star5, frac.x, 77, 0, rep.rounds)
+
+
+@pytest.mark.parametrize("rejected", [1, 2])
+def test_solve_rounded_restart_replays_its_attempt_seed(star5, monkeypatch, rejected):
+    """Attempt a draws from SeedSequence(seed).spawn(MAX_RESTARTS)[a], whether
+    or not the earlier attempts' seeds were spawned before it started."""
+    # the centre alone covers the star; the leaves draw with probability 6 x_v
+    x = (0.5, 0.12, 0.03, 0.0, 0.11, 0.02)
+    frac = pv.FractionalSolution(x=x, objective=sum(x), certificate=())
+    real = pv.rounding.is_feasible
+    calls = []
+
+    def reject_first(inst_, chosen):
+        calls.append(chosen)
+        return len(calls) > rejected and real(inst_, chosen)
+
+    monkeypatch.setattr("pvcover.rounding.is_feasible", reject_first)
+    sel, rep = pv.solve_rounded(star5, frac, pv.RoundingConfig(seed=31))
+    assert rep.restarts == rejected
+    rounds = pv.rounds_for(star5.r)
+    unions = [_replay_attempt(star5, x, 31, a, rounds) for a in range(rejected + 1)]
+    assert [set(c) for c in calls] == unions
+    assert set(sel.chosen) == unions[-1]
+    # the attempts drew different unions, so a wrong attempt seed would show
+    assert unions[-1] != unions[0]
+
+
+def test_single_round_success_is_simulate_rounds_frequency():
+    for i, inst in enumerate(random_instances(3, n=9, m=14, r=3, weight_max=3, overlap=0.3)):
+        # every vertex below the threshold, so every group's frequency is inside (0, 1)
+        x = philox(i).uniform(0.0, 0.1, size=inst.n).tolist()
+        rates = pv.single_round_success(inst, x, trials=500, seed=12)
+        samples = pv.simulate_rounds(inst, x, 500, philox(12))
+        want = [float(samples.success[:, gi].mean()) for gi in range(inst.r)]
+        assert [rate.frequency for rate in rates] == want
+        assert all(0.0 < p < 1.0 for p in want)
 
 
 def test_solve_rounded_prune_keeps_feasibility():
