@@ -10,8 +10,11 @@ values x_B.  Rows are only appended, never changed, and the objective stays
 fixed, so that basis plus the new rows' slacks stays dual feasible: the next
 solve borders the tableau with the new rows and resumes from it.  A first
 solve borders an empty tableau, which gives the slack basis with every
-structural at the bound its cost favours.  Built for tiny cutting-plane
-masters where determinism matters more than speed.
+structural at the bound its cost favours.  An optimal verdict is certified
+by weak duality: the duals read off the slacks' reduced costs give a lower
+bound on every feasible point's cost that needs no basis, and the value
+must meet it within a tolerance.  Built for tiny cutting-plane masters
+where determinism matters more than speed.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ _PIVOT_EPS = 1e-9  # entries and reduced costs smaller than this never price or 
 _BOUND_TOL = 1e-9  # basic values this far outside their bounds must leave
 _RATIO_TIE = 1e-9  # ratio-test ties within this pick the smallest variable index
 _REFACTOR = 32  # pivots between fresh factorizations of the basis
+_CERT_TOL = 1e-9  # an optimal value may exceed its dual bound by this times 1 + |value|
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,7 @@ class LpOutcome:
     value: float | None
     x: tuple[float, ...] | None
     pivots: int  # simplex pivots this solve took
+    duals: tuple[float, ...] | None = None  # one per row; >= 0 on GE rows, <= 0 on LE rows
 
 
 class LinearProgram:
@@ -70,12 +75,14 @@ class LinearProgram:
         # round-off in a slack's reduced cost grows with the costs' scale
         self._slack_tol = _PIVOT_EPS * max(1.0, float(np.abs(cost).max()))
         self._grow(16)
-        # (T, d, x_B, basis, side) of the last verdict, side being +1 on a
-        # nonbasic column at its upper bound, -1 at its lower and 0 on a basic
-        # one; with no rows every structural sits at the bound its cost favours
+        # (T, d, x_B, basis, side, since) of the last verdict, side being +1
+        # on a nonbasic column at its upper bound, -1 at its lower and 0 on a
+        # basic one, and since counting the pivots after the last
+        # factorization; with no rows every structural sits at the bound its
+        # cost favours
         self._tableau = (
             np.zeros((0, n)), cost, np.zeros(0), np.zeros(0, dtype=int),
-            np.where(cost < -_PIVOT_EPS, 1.0, -1.0),
+            np.where(cost < -_PIVOT_EPS, 1.0, -1.0), 0,
         )
 
     @property
@@ -131,8 +138,13 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     Each pivot, the out-of-bounds basic variable of smallest index leaves and
     the minimum-ratio column |d_j| / |alpha_rj| enters, ties going to the
     smallest index; T, d and x_B then take one rank-1 update.  The basis is
-    factored afresh every _REFACTOR pivots and before every verdict reached
-    after a pivot.  The returned point is clamped to the box.  Raises
+    factored afresh once _REFACTOR pivots have passed since its last
+    factorization, a count carried across solves.  An optimal verdict stands
+    when its value is within _CERT_TOL * (1 + |value|) of the weak-duality
+    bound of its duals (see _dual_bound); when it is not, the basis is
+    factored afresh and the solve goes on, and on a fresh factorization
+    SolverError is raised.  An infeasible verdict stands only on a fresh
+    factorization.  The returned point is clamped to the box.  Raises
     LpIterationLimit past 50 * (variables + rows) + 200 pivots, and
     SolverError on internal numerical failures; lp keeps its state only from
     a verdict.
@@ -142,23 +154,29 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     m = b.size
     slack_tol = lp._slack_tol
 
-    T, d, xb, basis, side = _border(lp._tableau, K, sign, b)
+    T, d, xb, basis, side, since = _border(lp._tableau, K, sign, b)
     # a basic value above hi must leave; only structurals have an upper bound
     hi = np.where(basis < n, 1.0 + _BOUND_TOL, np.inf)
 
     cap = 50 * (n + m) + 200
     pivots = 0
-    since = 0  # pivots since the tableau was last factored or bordered
     while True:
         if since >= _REFACTOR:
             T, d, xb = _factor(K, b, cost, basis, side, slack_tol)
             since = 0
         out = ((xb < -_BOUND_TOL) | (xb > hi)).nonzero()[0]
         if out.size == 0:
-            if since:
-                since = _REFACTOR
-                continue
-            break
+            xs = _point(xb, basis, side)[:n].clip(0.0, 1.0)
+            value = float(cost[:n] @ xs)
+            # row i's slack column is sign_i * e_i, so y_i = -sign_i * d[n + i],
+            # clipped to >= 0 on a GE row and <= 0 on an LE row
+            y = -sign * np.maximum(d[n:], 0.0)
+            if value - _dual_bound(K, b, cost[:n], y) <= _CERT_TOL * (1.0 + abs(value)):
+                break
+            if not since:
+                raise SolverError("optimal value fails its dual bound on a fresh factorization")
+            since = _REFACTOR
+            continue
         r = out[basis[out].argmin()]  # Bland: smallest variable index leaves
         to_upper = bool(xb[r] > 0.0)
         alpha = T[r]
@@ -170,7 +188,7 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
                 since = _REFACTOR
                 continue
             # x_Br cannot reach its bound: row r of B^-1 is a Farkas ray
-            lp._tableau = (T, d, xb, basis, side)
+            lp._tableau = (T, d, xb, basis, side, since)
             return LpOutcome("infeasible", None, None, pivots)
         ratio = np.abs(d[candidates] / alpha[candidates])
         q = candidates[(ratio <= ratio.min() + _RATIO_TIE).argmax()]
@@ -192,10 +210,19 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         hi[r] = 1.0 + _BOUND_TOL if q < n else np.inf
         since += 1
 
-    lp._tableau = (T, d, xb, basis, side)
-    xs = _point(xb, basis, side)[:n].clip(0.0, 1.0)
+    lp._tableau = (T, d, xb, basis, side, since)
     _audit_rows(lp, xs)
-    return LpOutcome("optimal", float(cost[:n] @ xs), tuple(xs.tolist()), pivots)
+    return LpOutcome("optimal", value, tuple(xs.tolist()), pivots, tuple(y.tolist()))
+
+
+def _dual_bound(K, b, c, y):
+    """Weak-duality lower bound on c.x over the box points meeting every row.
+
+    With y_i >= 0 on GE rows and <= 0 on LE rows, y_i * a_i.x >= y_i * b_i,
+    and c.x = y.Ax + (c - A^T y).x >= b.y - sum_j max(0, (A^T y)_j - c_j)
+    for each x in [0, 1]^n.  No basis enters.
+    """
+    return float(b @ y) - float(np.maximum(y @ K[:, :c.size] - c, 0.0).sum())
 
 
 def _point(xb, basis, side):
@@ -211,12 +238,13 @@ def _border(tableau, K, sign, b):
     A new row's slack is basic.  Its tableau row is its row of K with the
     basic columns eliminated by the rows of T where they are basic, times
     the slack sign; reduced costs are unchanged (a slack costs nothing), and
-    the slack's value is the row's residual at the current point.
+    the slack's value is the row's residual at the current point.  The count
+    of pivots since the last factorization carries over unchanged.
     """
-    T, d, xb, basis, side = tableau
+    T, d, xb, basis, side, since = tableau
     m0, m = basis.size, K.shape[0]
     if m == m0:
-        return T.copy(), d.copy(), xb.copy(), basis.copy(), side.copy()
+        return T.copy(), d.copy(), xb.copy(), basis.copy(), side.copy(), since
     n = side.size - m0
     new = K[m0:]
     bordered = np.zeros((m, n + m))
@@ -230,6 +258,7 @@ def _border(tableau, K, sign, b):
         np.concatenate([xb, sign[m0:] * (b[m0:] - new[:, :n + m0] @ x)]),
         np.concatenate([basis, np.arange(n + m0, n + m)]),
         np.concatenate([side, fresh]),
+        since,
     )
 
 

@@ -130,13 +130,15 @@ class CappedCoverageCut(_CoverRow):
 def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS, truncate=True):
     """Capped-demand row for the group, induced by and violated at x, or None.
 
-    The separating split is exact: the row built from the edges with
-    x_u + x_v < 1 is violated at x by precisely the shortfall of
-    sum of w_e * min(1, x_u + x_v) against the group target, so a None
-    return certifies the group's capped demand is met at x.
+    The split treats an edge as capped once x_u + x_v >= 1 - tol, so a point
+    that wobbles by round-off around a sum of 1 picks the same row.  The row
+    built from the other edges falls short at x by more than tol whenever it
+    is returned.  A None return certifies the group's capped demand within
+    tol: sum of w_e * min(1, x_u + x_v) >= target - tol * (1 + W), W being
+    the total weight of the capped edges.
     """
     left, kept, coefficients = _cover_row(
-        inst, group, lambda e: x[e.u] + x[e.v] >= 1.0, truncate
+        inst, group, lambda e: x[e.u] + x[e.v] >= 1.0 - tol, truncate
     )
     supply = 0.0
     for eid in kept:

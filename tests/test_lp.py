@@ -8,14 +8,15 @@ it is a genuinely independent code path: no simplex, no pivoting.
 """
 
 import itertools
-import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import pvcover as pv
+from pvcover import lp as lp_module
 from pvcover import relaxation
-from pvcover.lp import GE, LE, LinearProgram, _audit_rows, lp_solve
+from pvcover.lp import _CERT_TOL, GE, LE, LinearProgram, _audit_rows, lp_solve
 
 FEAS_TOL = 1e-7
 
@@ -86,7 +87,24 @@ def solve_both(objective, rows):
     return got, want_status, want_value
 
 
+def exact_dual_bound(objective, rows, duals):
+    """b.y - sum_j max(0, (A^T y)_j - c_j) in exact arithmetic, after checking
+    that each dual has its row's sign (>= 0 on GE rows, <= 0 on LE rows)."""
+    y = [Fraction(v) for v in duals]
+    assert len(y) == len(rows)
+    for yi, (_, _, sense) in zip(y, rows):
+        assert yi >= 0 if sense == GE else yi <= 0
+    bound = sum(yi * Fraction(rhs) for yi, (_, rhs, _) in zip(y, rows))
+    for j, cj in enumerate(objective):
+        reduced = sum(yi * Fraction(coeffs[j]) for yi, (coeffs, _, _) in zip(y, rows)) - Fraction(cj)
+        bound -= max(Fraction(0), reduced)
+    return bound
+
+
 def test_lp_solve_matches_enumeration_on_random_lps():
+    # an optimal verdict carries duals whose weak-duality bound, rebuilt
+    # exactly, is at most the oracle's optimum and within the kernel's
+    # certificate tolerance of the reported value
     rng = np.random.default_rng(20240817)
     feasible = 0
     infeasible = 0
@@ -98,6 +116,9 @@ def test_lp_solve_matches_enumeration_on_random_lps():
             feasible += 1
             assert got.value == pytest.approx(want_value, abs=1e-6)
             assert all(-1e-9 <= xv <= 1 + 1e-9 for xv in got.x)
+            bound = exact_dual_bound(objective, rows, got.duals)
+            assert bound <= Fraction(want_value) + Fraction(1, 10**12)
+            assert Fraction(got.value) - bound <= Fraction(_CERT_TOL * (1.0 + abs(got.value)))
         else:
             infeasible += 1
     # the generator must actually exercise both outcomes
@@ -196,7 +217,7 @@ def test_lp_work_counters_pinned(monkeypatch):
             pivots.clear()
             solve(inst)
             got.append((len(pivots), sum(pivots)))
-    assert got == [(7, 92), (13, 76), (13, 493), (61, 575)]
+    assert got == [(7, 92), (12, 74), (13, 488), (70, 638)]
 
 
 def batched_lp(rng):
@@ -227,24 +248,34 @@ def test_warm_solve_after_batched_appends_matches_a_cold_solve(monkeypatch):
     # the natural loop appends many rows per round; after each batch the
     # carried tableau must give what a fresh LinearProgram with the same rows
     # gives, also after an infeasible verdict and across a mid-solve refactor.
-    # A warm solve factors the basis only every 32 pivots and before a
-    # verdict reached after a pivot, never at its start.
+    # The basis is factored once 32 pivots have passed since its last
+    # factorization, counted across solves, and otherwise only before an
+    # infeasible verdict or a verdict whose dual certificate fails; so a
+    # certified optimum with fewer than 32 carried pivots factors nothing.
     factored = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: factored.append(1) or inv(a))
     rng = np.random.default_rng(5)
-    after_infeasible = long_warm = 0
+    after_infeasible = long_warm = short_warm = 0
     for _ in range(40):
         objective, batches = batched_lp(rng)
         scale = 1.0 + float(np.abs(objective).sum())
         lp = LinearProgram(list(objective))
         infeasible = False
+        inverses = pivots = infeasible_verdicts = 0
         for batch in batches:
             for coeffs, rhs, sense in batch:
                 lp.add_row(coeffs, rhs, sense)
+            carried = lp._tableau[-1]
             factored.clear()
             warm = lp_solve(lp)
-            assert len(factored) <= math.ceil(warm.pivots / 32)
+            inverses += len(factored)
+            pivots += warm.pivots
+            infeasible_verdicts += warm.status == "infeasible"
+            assert inverses <= pivots // 32 + infeasible_verdicts
+            if warm.status == "optimal" and carried + warm.pivots < 32:
+                assert not factored
+                short_warm += warm.pivots > 0 and len(lp.rows) > len(batch)
             cold = LinearProgram(list(objective))
             for row in lp.rows:
                 cold.add_row(row.coeffs, row.rhs, row.sense)
@@ -256,9 +287,42 @@ def test_warm_solve_after_batched_appends_matches_a_cold_solve(monkeypatch):
             after_infeasible += infeasible
             infeasible = infeasible or warm.status == "infeasible"
             long_warm += warm.pivots > 32 and len(lp.rows) > len(batch)
-    # both cases are exercised
+    # every case is exercised
     assert after_infeasible >= 10
     assert long_warm >= 3
+    assert short_warm >= 10
+
+
+def test_corrupt_carried_slack_reduced_cost_is_caught_and_refactored(monkeypatch):
+    # min x0 + x1 with x0 + x1 >= 1 takes one pivot, so its tableau is one
+    # pivot past a factorization; a wrong carried reduced cost on the row's
+    # slack gives a dual y = 2 whose bound, 2 - 2 * (2 - 1) = 0, is short of
+    # the value 1, so the next solve factors the basis and certifies afresh
+    factored = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: factored.append(1) or inv(a))
+    lp = LinearProgram([1.0, 1.0]).add_row({0: 1.0, 1: 1.0}, 1.0, GE)
+    first = lp_solve(lp)
+    assert (first.pivots, factored, first.duals) == (1, [], (1.0,))
+    lp._tableau[1][2] = 2.0  # the reduced cost of row 0's slack
+    again = lp_solve(lp)
+    assert factored == [1]
+    assert again.pivots == 0
+    assert again.value == pytest.approx(first.value, abs=1e-12)
+    assert again.duals == (1.0,)
+
+
+def test_failed_certificate_on_a_fresh_factorization_raises(monkeypatch):
+    # with a tolerance no bound can meet, the stale tableau is factored once
+    # and the fresh factorization's failure is an error, not a verdict
+    monkeypatch.setattr(lp_module, "_CERT_TOL", -1.0)
+    factored = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: factored.append(1) or inv(a))
+    lp = LinearProgram([1.0, 1.0]).add_row({0: 1.0, 1: 1.0}, 1.0, GE)
+    with pytest.raises(pv.SolverError, match="fresh factorization"):
+        lp_solve(lp)
+    assert factored == [1]
 
 
 def test_add_row_validation():

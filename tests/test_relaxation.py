@@ -238,6 +238,33 @@ def test_capped_coverage_cut_vacuous_when_everything_capped(path3):
     assert pv.capped_coverage_cut(path3, 0, [1.0, 0.0, 1.0]) is None
 
 
+TWO_EDGES_TEXT = """\
+p pvc 4 2 1
+v 0 1
+v 1 1
+v 2 1
+v 3 1
+e 0 0 1 2
+e 1 2 3 2
+g 0 0 1
+k 0 4
+"""
+
+
+@pytest.mark.parametrize("truncate", [True, False])
+def test_capped_coverage_cut_split_ignores_a_one_ulp_wobble(truncate):
+    # edge 0's endpoints sum to exactly 1 at one point and one ulp below 1 at
+    # the other; the split must cap the edge at both and pick the same row
+    inst = pv.parse_instance(TWO_EDGES_TEXT)
+    exact = [0.5, 0.5, 0.1, 0.1]
+    wobbled = [0.5, 0.5 - 2.0**-53, 0.1, 0.1]
+    assert wobbled[0] + wobbled[1] == np.nextafter(1.0, 0.0)
+    want = pv.capped_coverage_cut(inst, 0, exact, truncate=truncate)
+    got = pv.capped_coverage_cut(inst, 0, wobbled, truncate=truncate)
+    assert want is not None and want.kept == (1,) and want.rhs == 2
+    assert got == want
+
+
 # ------------------------------------------------------------------- solving
 
 
