@@ -131,6 +131,10 @@ class Instance:
     def group_weight(self, gi: int) -> int:
         return sum(self.edges[eid].weight for eid in self.groups[gi].edges)
 
+    def group_members(self, gi: int) -> tuple[tuple[int, int, int, int], ...]:
+        """Group gi's member edges as (edge id, u, v, weight), in membership order."""
+        return self.incidence.group_members[gi]
+
     @cached_property
     def incidence(self) -> Incidence:
         """Adjacency index, built on first use and kept on this object (not a field)."""
@@ -139,20 +143,22 @@ class Instance:
             vertex_edges[e.u].append(eid)
             vertex_edges[e.v].append(eid)
         edge_groups: list[list[int]] = [[] for _ in range(self.m)]
+        group_members = []
         group_arrays = []
         for gi, g in enumerate(self.groups):
+            members = []
             for eid in g.edges:
                 edge_groups[eid].append(gi)
-            members = [self.edges[eid] for eid in g.edges]
-            ends = np.array(
-                [[e.u for e in members], [e.v for e in members], [e.weight for e in members]],
-                dtype=np.int64,
-            )
+                e = self.edges[eid]
+                members.append((eid, e.u, e.v, e.weight))
+            group_members.append(tuple(members))
+            ends = np.array(list(zip(*members))[1:], dtype=np.int64)
             ends.setflags(write=False)
             group_arrays.append(tuple(ends))
         return Incidence(
             vertex_edges=tuple(map(tuple, vertex_edges)),
             edge_groups=tuple(map(tuple, edge_groups)),
+            group_members=tuple(group_members),
             group_arrays=tuple(group_arrays),
         )
 
@@ -421,12 +427,15 @@ class Incidence:
 
     vertex_edges[v] lists the edges at v and edge_groups[e] the groups that
     hold e, in id order and as Python ints (CoverCounts walks them in
-    Python).  group_arrays[g] holds read-only int64 arrays (u, v, weight)
-    over group g's member edges in membership order.
+    Python).  group_members[g] lists group g's member edges as Python-int
+    tuples (edge id, u, v, weight) in membership order, for the cover-row
+    walk in relaxation; group_arrays[g] holds the same u, v and weight as
+    read-only int64 arrays.
     """
 
     vertex_edges: tuple[tuple[int, ...], ...]
     edge_groups: tuple[tuple[int, ...], ...]
+    group_members: tuple[tuple[tuple[int, int, int, int], ...], ...]
     group_arrays: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 

@@ -111,9 +111,10 @@ class LinearProgram:
             raise InputError(f"row sense must be {GE!r} or {LE!r}, got {sense!r}")
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         cleaned = sorted((int(j), float(a)) for j, a in items)
+        n = self.nvars
         seen = set()
         for j, _ in cleaned:
-            if not (0 <= j < self.nvars):
+            if not (0 <= j < n):
                 raise InputError(f"row references unknown variable {j}")
             if j in seen:
                 raise InputError(f"row repeats variable {j}")
@@ -124,7 +125,7 @@ class LinearProgram:
         row = self._K[i]
         for j, a in cleaned:
             row[j] = a
-        self._sign[i] = row[self.nvars + i] = 1.0 if sense == LE else -1.0
+        self._sign[i] = row[n + i] = 1.0 if sense == LE else -1.0
         self._b[i] = float(rhs)
         self.rows.append(Row(tuple(cleaned), float(rhs), sense))
         return self

@@ -41,11 +41,16 @@ __all__ = [
 CUTS_PER_GROUP = 200
 
 
+def _lhs(coefficients, x) -> float:
+    """Row sum of coefficients[v] * x_v, summed in coefficient order."""
+    return sum(a * x[v] for v, a in coefficients)
+
+
 class _CoverRow:
     """Shared evaluation of a row sum of coefficients[v] * x_v >= rhs."""
 
     def lhs_at(self, x) -> float:
-        return sum(a * x[v] for v, a in self.coefficients)
+        return _lhs(self.coefficients, x)
 
     def satisfied_by(self, x, tol: float = EPS_FEAS) -> bool:
         return self.lhs_at(x) >= self.rhs - tol
@@ -69,40 +74,50 @@ class KnapsackCoverConstraint(_CoverRow):
         return (self.group, self.suppressed)
 
 
-def _cover_row(inst, group, covered, truncate=True):
-    """Demand left, kept edge ids and coefficients of a group's cover row.
+def _cover_row(inst, group, covered):
+    """Demand left and kept members of a group's cover row, or None when no
+    demand is left.
 
-    covered(e) marks a member edge as already covered: its weight comes off
-    the target.  Every other ("kept") member edge adds its weight to both
-    endpoints' coefficients, each capped at the demand left when truncate.
+    covered(u, v) marks a member edge as already covered: its weight comes
+    off the target.  Every other ("kept") member is listed as its
+    (edge id, u, v, weight) entry of inst.group_members, in membership order.
     """
-    g = inst.groups[group]
-    left = g.target
+    left = inst.groups[group].target
     kept = []
-    acc: dict[int, int] = {}
-    for eid in g.edges:
-        e = inst.edges[eid]
-        if covered(e):
-            left -= e.weight
+    for member in inst.group_members(group):
+        _, u, v, w = member
+        if not covered(u, v):
+            kept.append(member)
         else:
-            kept.append(eid)
-            acc[e.u] = acc.get(e.u, 0) + e.weight
-            acc[e.v] = acc.get(e.v, 0) + e.weight
-    return left, kept, tuple((v, min(left, w) if truncate else w) for v, w in sorted(acc.items()))
+            left -= w
+            if left <= 0:
+                return None
+    return (left, kept) if left > 0 else None
+
+
+def _coefficients(left, kept, truncate=True):
+    """Row coefficients of kept members, sorted by vertex: each kept member
+    adds its weight to both endpoints, each sum capped at left when truncate."""
+    acc: dict[int, int] = {}
+    for _, u, v, w in kept:
+        acc[u] = acc.get(u, 0) + w
+        acc[v] = acc.get(v, 0) + w
+    return tuple((v, min(left, w) if truncate else w) for v, w in sorted(acc.items()))
+
+
+def _touches(suppressed):
+    """covered(u, v) for _cover_row: an edge with an end in the suppressed set."""
+    picked = frozenset(suppressed)
+    return lambda u, v: u in picked or v in picked
 
 
 def build_kc_constraint(inst, group, suppressed):
     """Truncated cover row for (group, suppressed), or None when satisfied already."""
-    picked = frozenset(suppressed)
-    left, _, coefficients = _cover_row(inst, group, lambda e: e.u in picked or e.v in picked)
-    if left <= 0:
+    picked = tuple(sorted(set(suppressed)))
+    walk = _cover_row(inst, group, _touches(picked))
+    if walk is None:
         return None
-    return KnapsackCoverConstraint(
-        group=group,
-        suppressed=tuple(sorted(picked)),
-        coefficients=coefficients,
-        rhs=left,
-    )
+    return KnapsackCoverConstraint(group, picked, _coefficients(*walk), walk[0])
 
 
 @dataclass(frozen=True)
@@ -137,19 +152,20 @@ def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS, truncate=True):
     tol: sum of w_e * min(1, x_u + x_v) >= target - tol * (1 + W), W being
     the total weight of the capped edges.
     """
-    left, kept, coefficients = _cover_row(
-        inst, group, lambda e: x[e.u] + x[e.v] >= 1.0 - tol, truncate
-    )
+    split = 1.0 - tol
+    walk = _cover_row(inst, group, lambda u, v: x[u] + x[v] >= split)
+    if walk is None:
+        return None
+    left, kept = walk
     supply = 0.0
-    for eid in kept:
-        e = inst.edges[eid]
-        supply += e.weight * (x[e.u] + x[e.v])
-    if left <= 0 or supply >= left - tol:
+    for _, u, v, w in kept:
+        supply += w * (x[u] + x[v])
+    if supply >= left - tol:
         return None
     return CappedCoverageCut(
         group=group,
-        kept=tuple(kept),
-        coefficients=coefficients,
+        kept=tuple(eid for eid, _, _, _ in kept),
+        coefficients=_coefficients(left, kept, truncate),
         rhs=left,
     )
 
@@ -170,20 +186,27 @@ def threshold_rows(inst, x):
     Groups the threshold set already satisfies have no row and are skipped.
     """
     picked = threshold_set(x)
+    covered = _touches(picked)
     for gi in range(inst.r):
-        row = build_kc_constraint(inst, gi, picked)
-        if row is not None:
-            yield row
+        walk = _cover_row(inst, gi, covered)
+        if walk is not None:
+            yield KnapsackCoverConstraint(gi, picked, _coefficients(*walk), walk[0])
 
 
 def separate(inst, x, tol: float = EPS_FEAS) -> KnapsackCoverConstraint | None:
     """The first threshold-induced cover row violated at x, by group index, or None.
 
-    Only the suppressed set induced by the rounding threshold is ever examined.
+    Only the suppressed set induced by the rounding threshold is ever examined,
+    and a row is built only for the group returned.
     """
-    for row in threshold_rows(inst, x):
-        if not row.satisfied_by(x, tol):
-            return row
+    picked = threshold_set(x)
+    covered = _touches(picked)
+    for gi in range(inst.r):
+        walk = _cover_row(inst, gi, covered)
+        if walk is not None:
+            coefficients = _coefficients(*walk)
+            if _lhs(coefficients, x) < walk[0] - tol:
+                return KnapsackCoverConstraint(gi, picked, coefficients, walk[0])
     return None
 
 

@@ -11,7 +11,8 @@ only because the two sides share it.
 
 Randomness is pinned: Philox streams from numpy, split per attempt and per
 round through SeedSequence.spawn, one uniform draw per below-threshold
-vertex in vertex id order.
+vertex in vertex id order.  A solve whose below-threshold pick
+probabilities are all 0 builds no round stream, since no draw could pick.
 """
 
 from __future__ import annotations
@@ -248,13 +249,16 @@ def solve_rounded(
             )
     rounds = rounds_for(inst.r)
     sure, rest, probs = _plan(frac.x)
+    # a uniform draw in [0, 1) is never below 0, so with no positive pick
+    # probability no round can add a vertex and no round stream is built
+    drawable = bool((probs > 0).any())
     root = np.random.SeedSequence(cfg.seed)
     for attempt in range(MAX_RESTARTS):
         # spawn numbers children by its running count, so this is
         # root.spawn(MAX_RESTARTS)[attempt] without spawning the unused ones
         (attempt_seed,) = root.spawn(1)
         chosen = set(sure)
-        for round_seed in attempt_seed.spawn(rounds):
+        for round_seed in attempt_seed.spawn(rounds) if drawable else ():
             rng = np.random.Generator(np.random.Philox(round_seed))
             chosen.update(compress(rest, rng.random(len(rest)) < probs))
         union = VertexSelection.from_set(inst, chosen)

@@ -182,6 +182,12 @@ def test_incidence_matches_brute_force_rebuild():
             shared += len(want) > 1
         for lists in (inc.vertex_edges, inc.edge_groups):
             assert all(type(i) is int for ids in lists for i in ids)
+        assert len(inc.group_members) == inst.r
+        for gi, g in enumerate(inst.groups):
+            edges = [inst.edges[eid] for eid in g.edges]
+            want = tuple((eid, e.u, e.v, e.weight) for eid, e in zip(g.edges, edges))
+            assert inst.group_members(gi) == want
+            assert all(type(i) is int for member in inst.group_members(gi) for i in member)
         assert len(inc.group_arrays) == inst.r
         for g, arrays in zip(inst.groups, inc.group_arrays):
             members = [inst.edges[eid] for eid in g.edges]

@@ -17,6 +17,7 @@ import pytest
 import pvcover as pv
 import pvcover.relaxation as relaxation
 from conftest import random_instances
+from pvcover.constants import EPS_FEAS, ROUNDING_THRESHOLD
 
 
 # ---------------------------------------------------------------- primitives
@@ -48,6 +49,61 @@ def wdeg(inst: pv.Instance, group: int, v: int, suppressed) -> int:
         if e.u == v or e.v == v:
             total += e.weight
     return total
+
+
+# Per-edge reference builders: each row family re-derived by walking
+# inst.edges through a predicate on the Edge, apart from the member table the
+# builders read; the builders must return equal dataclasses.
+
+
+def ref_cover_row(inst, group, covered, truncate=True):
+    g = inst.groups[group]
+    left = g.target
+    kept = []
+    acc = {}
+    for eid in g.edges:
+        e = inst.edges[eid]
+        if covered(e):
+            left -= e.weight
+        else:
+            kept.append(eid)
+            acc[e.u] = acc.get(e.u, 0) + e.weight
+            acc[e.v] = acc.get(e.v, 0) + e.weight
+    return left, kept, tuple((v, min(left, w) if truncate else w) for v, w in sorted(acc.items()))
+
+
+def ref_build_kc_constraint(inst, group, suppressed):
+    picked = frozenset(suppressed)
+    left, _, coefficients = ref_cover_row(inst, group, lambda e: e.u in picked or e.v in picked)
+    if left <= 0:
+        return None
+    return relaxation.KnapsackCoverConstraint(group, tuple(sorted(picked)), coefficients, left)
+
+
+def ref_capped_coverage_cut(inst, group, x, tol=EPS_FEAS, truncate=True):
+    left, kept, coefficients = ref_cover_row(
+        inst, group, lambda e: x[e.u] + x[e.v] >= 1.0 - tol, truncate
+    )
+    supply = 0.0
+    for eid in kept:
+        e = inst.edges[eid]
+        supply += e.weight * (x[e.u] + x[e.v])
+    if left <= 0 or supply >= left - tol:
+        return None
+    return relaxation.CappedCoverageCut(group, tuple(kept), coefficients, left)
+
+
+def ref_threshold_rows(inst, x):
+    picked = tuple(v for v, xv in enumerate(x) if xv >= ROUNDING_THRESHOLD - EPS_FEAS)
+    rows = (ref_build_kc_constraint(inst, gi, picked) for gi in range(inst.r))
+    return [row for row in rows if row is not None]
+
+
+def ref_separate(inst, x, tol=EPS_FEAS):
+    for row in ref_threshold_rows(inst, x):
+        if not row.satisfied_by(x, tol):
+            return row
+    return None
 
 
 def test_residual_hand_values(star5, path3):
@@ -263,6 +319,120 @@ def test_capped_coverage_cut_split_ignores_a_one_ulp_wobble(truncate):
     got = pv.capped_coverage_cut(inst, 0, wobbled, truncate=truncate)
     assert want is not None and want.kept == (1,) and want.rhs == 2
     assert got == want
+
+
+# --------------------------------------------- builders against the reference
+
+
+def _assert_rows_match_reference(inst, x, suppressed_sets=()):
+    """Every row builder at x equals its per-edge reference, dataclass for dataclass."""
+    assert pv.separate(inst, x) == ref_separate(inst, x)
+    assert pv.separate(inst, x, 10 * EPS_FEAS) == ref_separate(inst, x, 10 * EPS_FEAS)
+    assert list(relaxation.threshold_rows(inst, x)) == ref_threshold_rows(inst, x)
+    for gi in range(inst.r):
+        for truncate in (True, False):
+            got = pv.capped_coverage_cut(inst, gi, x, truncate=truncate)
+            assert got == ref_capped_coverage_cut(inst, gi, x, truncate=truncate)
+        for picked in (pv.threshold_set(x), *suppressed_sets):
+            assert pv.build_kc_constraint(inst, gi, picked) == ref_build_kc_constraint(
+                inst, gi, picked
+            )
+
+
+def _boundary_points(inst, rng):
+    """Points on both sides of the two splits the builders make.
+
+    Entries sit exactly at the rounding threshold less its slack and one ulp
+    below it; an edge's endpoint sum is exactly 1 - EPS_FEAS, where the
+    capped split lies, or one ulp to either side of it.
+    """
+    at = ROUNDING_THRESHOLD - EPS_FEAS
+    below = math.nextafter(at, 0.0)
+    for edge in rng.choice(inst.m, size=min(inst.m, 4), replace=False):
+        e = inst.edges[edge]
+        split = 1.0 - EPS_FEAS
+        for total in (math.nextafter(split, 0.0), split, math.nextafter(split, 2.0)):
+            x = (rng.random(inst.n) * 0.3).tolist()
+            x[rng.integers(inst.n)] = at
+            x[rng.integers(inst.n)] = below
+            x[e.u], x[e.v] = 0.5, total - 0.5
+            assert x[e.u] + x[e.v] == total
+            yield x
+
+
+def _lp_points(inst, monkeypatch):
+    """Every master LP point both relaxations' cutting-plane loops visit."""
+    points = []
+    solve = relaxation.lp_solve
+
+    def recording(lp):
+        out = solve(lp)
+        points.append(out.x)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(relaxation, "lp_solve", recording)
+        pv.solve_relaxation(inst)
+        pv.solve_natural_lp(inst)
+    return points
+
+
+def test_row_builders_match_the_per_edge_reference(monkeypatch):
+    """Random instances with overlapping groups and parallel edges, at random
+    points, points on both splits and the LP points of both relaxations."""
+    rng = np.random.default_rng(23)
+    insts = random_instances(8, n=6, m=18, r=3, weight_max=4, overlap=0.3)
+    parallel = shared = rows = 0
+    for inst in insts:
+        ends = [(e.u, e.v) for e in inst.edges]
+        parallel += len(set(ends)) < len(ends)
+        shared += sum(len(g.edges) for g in inst.groups) > inst.m
+        points = [rng.random(inst.n).tolist() for _ in range(6)]
+        points += [(rng.random(inst.n) * rng.choice([0.2, 0.5])).tolist() for _ in range(6)]
+        points += list(_boundary_points(inst, rng))
+        points += _lp_points(inst, monkeypatch)
+        for x in points:
+            suppressed = [
+                tuple(v for v in range(inst.n) if rng.random() < 0.3) for _ in range(2)
+            ]
+            _assert_rows_match_reference(inst, x, suppressed)
+            rows += pv.separate(inst, x) is not None
+    assert parallel == len(insts) and shared
+    assert rows  # some points are cut, so whole rows are compared
+
+
+def test_row_builders_keep_exact_python_ints_near_2_61():
+    """Weights near 2**61, each group's total below 2**63: coefficients and
+    rhs stay exact Python ints and equal the reference.  Group 2 has target
+    0, so no point leaves it a row."""
+    big = 2**61
+    text = (
+        "p pvc 5 6 3\n"
+        + "".join(f"v {v} 1\n" for v in range(5))
+        + f"e 0 0 1 {big - 1}\ne 1 1 2 {big - 3}\ne 2 2 3 {big - 5}\n"
+        + f"e 3 3 4 {big - 7}\ne 4 0 4 {big + 9}\ne 5 1 2 11\n"
+        + "g 0 0 1 2 5\ng 1 2 3 4\ng 2 5\n"
+        + f"k 0 {3 * big - 20}\nk 1 {2 * big + 1}\nk 2 0\n"
+    )
+    inst = pv.parse_instance(text)
+    assert all(inst.group_weight(gi) < 2**63 for gi in range(inst.r))
+    rng = np.random.default_rng(3)
+    points = [rng.random(inst.n).tolist() for _ in range(30)] + [[0.0] * inst.n]
+    built = []
+    for x in points:
+        _assert_rows_match_reference(inst, x, [(1,), (0, 4), (2, 3)])
+        built += list(relaxation.threshold_rows(inst, x))
+        built += [pv.build_kc_constraint(inst, gi, (1,)) for gi in range(inst.r)]
+        built += [
+            pv.capped_coverage_cut(inst, gi, x, truncate=t) for gi in range(inst.r)
+            for t in (True, False)
+        ]
+    built = [row for row in built if row is not None]
+    assert any(isinstance(row, relaxation.CappedCoverageCut) for row in built)
+    assert any(row.rhs > 2**62 for row in built)
+    for row in built:
+        assert type(row.rhs) is int
+        assert all(type(v) is int and type(a) is int for v, a in row.coefficients)
 
 
 # ------------------------------------------------------------------- solving

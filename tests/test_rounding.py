@@ -163,6 +163,27 @@ def test_solve_rounded_restart_replays_its_attempt_seed(star5, monkeypatch, reje
     assert unions[-1] != unions[0]
 
 
+@pytest.mark.parametrize("low", [0.0, 1e-17])
+def test_solve_rounded_builds_round_streams_only_when_a_draw_can_pick(star5, monkeypatch, low):
+    """A uniform draw in [0, 1) is never below 0, so with every below-threshold
+    pick probability exactly 0 no round stream is built; a round-off
+    probability such as 6e-17 still draws every round, since a 0.0 draw picks."""
+    x = (0.5, 0.0, 0.0, low, 0.0, 0.0)
+    frac = pv.FractionalSolution(x=x, objective=sum(x), certificate=())
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda seed: built.append(seed) or philox(seed))
+    sel, rep = pv.solve_rounded(star5, frac, pv.RoundingConfig(seed=5))
+    monkeypatch.undo()
+    rounds = pv.rounds_for(star5.r)
+    if low == 0.0:
+        assert built == []
+    else:
+        assert len(built) >= rounds
+    assert rep.restarts == 0 and rep.rounds == rounds
+    assert set(sel.chosen) == _replay_attempt(star5, x, 5, 0, rounds)
+
+
 def test_single_round_success_is_simulate_rounds_frequency():
     for i, inst in enumerate(random_instances(3, n=9, m=14, r=3, weight_max=3, overlap=0.3)):
         # every vertex below the threshold, so every group's frequency is inside (0, 1)
