@@ -11,13 +11,15 @@ its own weight, and one pass over a group's edges separates them exactly.
 Untruncated, they are the natural relaxation projected onto the vertex
 variables, which the same cutting-plane loop solves; truncated like the
 cover rows, they pin the strengthened value at or above the natural one.
+The strengthened loop appends one row per solve: the first violated cover
+row by group index, else the capped row of the group whose demand is
+relatively furthest from met (the deepest capped cut).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 from .constants import EPS_FEAS, ROUNDING_THRESHOLD
 from .errors import CutLimitExceeded, InputError, SolverError
@@ -142,15 +144,13 @@ class CappedCoverageCut(_CoverRow):
         return ("cap", self.group, self.kept)
 
 
-def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS, truncate=True):
-    """Capped-demand row for the group, induced by and violated at x, or None.
+def _capped_supply(inst, group, x, tol):
+    """Demand left, kept members and their supply at x for the group's capped
+    row, or None when the capped edges alone meet the demand.
 
     The split treats an edge as capped once x_u + x_v >= 1 - tol, so a point
-    that wobbles by round-off around a sum of 1 picks the same row.  The row
-    built from the other edges falls short at x by more than tol whenever it
-    is returned.  A None return certifies the group's capped demand within
-    tol: sum of w_e * min(1, x_u + x_v) >= target - tol * (1 + W), W being
-    the total weight of the capped edges.
+    that wobbles by round-off around a sum of 1 picks the same row.  The
+    supply sums w_e * (x_u + x_v) over the kept members in membership order.
     """
     split = 1.0 - tol
     walk = _cover_row(inst, group, lambda u, v: x[u] + x[v] >= split)
@@ -160,6 +160,21 @@ def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS, truncate=True):
     supply = 0.0
     for _, u, v, w in kept:
         supply += w * (x[u] + x[v])
+    return left, kept, supply
+
+
+def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS, truncate=True):
+    """Capped-demand row for the group, induced by and violated at x, or None.
+
+    The row is built from the edges _capped_supply keeps, and it falls short
+    at x by more than tol whenever it is returned.  A None return certifies
+    the group's capped demand within tol: sum of w_e * min(1, x_u + x_v) >=
+    target - tol * (1 + W), W being the total weight of the capped edges.
+    """
+    walk = _capped_supply(inst, group, x, tol)
+    if walk is None:
+        return None
+    left, kept, supply = walk
     if supply >= left - tol:
         return None
     return CappedCoverageCut(
@@ -170,9 +185,22 @@ def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS, truncate=True):
     )
 
 
-def _capped_violations(inst, x, tol, truncate=True):
-    """Each group's capped-coverage row violated at x, lazily and in group order."""
-    return filter(None, (capped_coverage_cut(inst, gi, x, tol, truncate) for gi in range(inst.r)))
+def _deepest_capped_cut(inst, x, tol):
+    """The truncated capped row of largest relative shortfall at x, or None.
+
+    A group's shortfall is (left - supply) / left over the groups whose
+    capped row is violated (supply < left - tol); ties go to the lower group
+    index.  Only the winning group's row is built.
+    """
+    best, depth = None, 0.0
+    for gi in range(inst.r):
+        walk = _capped_supply(inst, gi, x, tol)
+        if walk is not None:
+            left, _, supply = walk
+            shortfall = (left - supply) / left
+            if supply < left - tol and shortfall > depth:
+                best, depth = gi, shortfall
+    return None if best is None else capped_coverage_cut(inst, best, x, tol)
 
 
 def threshold_set(x) -> tuple[int, ...]:
@@ -256,7 +284,7 @@ def _cut_loop(inst, pool, cut_log, violated):
 
     violated(x, tol) lists the rows to append at x, none when x is clean;
     cover rows grow pool in place, and at most CUTS_PER_GROUP * r rows are
-    appended.  The master keeps the basis of its last solve, so each round's
+    appended beyond the rows pool starts with.  The master keeps the basis of its last solve, so each round's
     solve resumes from the previous optimum.  Returns (x, value, value trace).
     """
     lp = LinearProgram(inst.costs)
@@ -292,13 +320,12 @@ def _cut_loop(inst, pool, cut_log, violated):
 
 
 def _strengthened(inst):
-    """The strengthened separation: the first violated threshold cover row,
-    else the first violated truncated capped-coverage row, else nothing."""
+    """The strengthened separation, one row per round: the first violated
+    threshold cover row by group index, else the deepest violated truncated
+    capped-coverage row, else nothing."""
     def violated(x, tol):
-        row = separate(inst, x, tol=tol)
-        if row is not None:
-            return [row]
-        return list(islice(_capped_violations(inst, x, tol), 1))
+        row = separate(inst, x, tol=tol) or _deepest_capped_cut(inst, x, tol)
+        return [] if row is None else [row]
     return violated
 
 
@@ -341,9 +368,14 @@ def solve_natural_lp(inst: Instance) -> FractionalSolution:
     sum of w_e * min(1, x_u + x_v) >= target in every group, which is the
     natural relaxation's edge-variable LP with the edge variables projected
     out.  On stars it pays 1/degree while any integral cover pays a full
-    vertex, which is the gap the strengthened relaxation closes.
+    vertex, which is the gap the strengthened relaxation closes.  The first
+    solve of an empty master is the zero point, where every group's row is
+    violated, so the master starts with those rows instead.
     """
-    x, value, _ = _cut_loop(
-        inst, {}, None, lambda x, tol: list(_capped_violations(inst, x, tol, truncate=False))
-    )
+    def violated(x, tol):
+        rows = (capped_coverage_cut(inst, gi, x, tol, truncate=False) for gi in range(inst.r))
+        return [row for row in rows if row is not None]
+
+    pool = {row.key(): row for row in violated([0.0] * inst.n, EPS_FEAS)}
+    x, value, _ = _cut_loop(inst, pool, None, violated)
     return FractionalSolution(x=x, objective=value, certificate=())

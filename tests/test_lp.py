@@ -196,12 +196,14 @@ def test_lp_ladder_values():
     assert pv.solve_relaxation(inst).objective == pytest.approx(40.0, abs=1e-6)
     inst = pv.generate_random(80, 200, 16, 1, pv.GeneratorConfig(weight_range=(1, 3)))
     assert pv.solve_natural_lp(inst).objective == pytest.approx(79.878655, abs=1e-6)
-    assert pv.solve_relaxation(inst).objective == pytest.approx(79.980241, abs=1e-6)
+    assert pv.solve_relaxation(inst).objective == pytest.approx(79.893000, abs=1e-6)
 
 
 def test_lp_work_counters_pinned(monkeypatch):
     # LP solves and total pivots of the natural and strengthened loops on the
-    # ladder cells above; a kernel change that keeps every pivot choice keeps them
+    # ladder cells above and on 150/400/30; a kernel change that keeps every
+    # pivot choice keeps them, and a separation change that picks shallower
+    # capped rows shows in the strengthened solve counts
     pivots = []
 
     def counting(lp):
@@ -211,13 +213,13 @@ def test_lp_work_counters_pinned(monkeypatch):
 
     monkeypatch.setattr(relaxation, "lp_solve", counting)
     got = []
-    for n, m, r in ((40, 80, 8), (80, 200, 16)):
+    for n, m, r in ((40, 80, 8), (80, 200, 16), (150, 400, 30)):
         inst = pv.generate_random(n, m, r, 1, pv.GeneratorConfig(weight_range=(1, 3)))
         for solve in (pv.solve_natural_lp, pv.solve_relaxation):
             pivots.clear()
             solve(inst)
             got.append((len(pivots), sum(pivots)))
-    assert got == [(7, 92), (12, 74), (13, 488), (70, 638)]
+    assert got == [(6, 92), (11, 68), (12, 488), (42, 452), (15, 3827), (125, 5507)]
 
 
 def batched_lp(rng):

@@ -321,6 +321,61 @@ def test_capped_coverage_cut_split_ignores_a_one_ulp_wobble(truncate):
     assert got == want
 
 
+TWO_GROUPS_TEXT = """\
+p pvc 4 2 2
+v 0 1
+v 1 1
+v 2 1
+v 3 1
+e 0 0 1 4
+e 1 2 3 1
+g 0 0
+g 1 1
+k 0 4
+k 1 1
+"""
+
+
+@pytest.mark.parametrize(
+    "x0, want",
+    [
+        # group 0 falls short by 1.6 of 4, group 1 by 0.5 of 1: the relatively
+        # deeper row wins over the first violated and the absolutely deeper one
+        (0.6, 1),
+        # both fall short by half their demand: the lower index wins
+        (0.5, 0),
+    ],
+)
+def test_strengthened_appends_the_deepest_capped_row(x0, want):
+    inst = pv.parse_instance(TWO_GROUPS_TEXT)
+    x = [x0, 0.0, 0.5, 0.0]
+    # every threshold cover row is vacuous, so the capped step decides
+    assert pv.separate(inst, x) is None
+    assert all(pv.capped_coverage_cut(inst, gi, x) is not None for gi in range(inst.r))
+    rows = relaxation._strengthened(inst)(x, EPS_FEAS)
+    assert rows == [pv.capped_coverage_cut(inst, want, x)]
+
+
+def test_row_sums_keep_their_summation_order():
+    # star leaves summing to one ulp below 1 - EPS_FEAS in leaf order: the
+    # four tiny leaves vanish one at a time into the large partial sum, but
+    # added together first, as in the reverse order, they reach the bound
+    star = pv.generate_star(11)
+    bound = 1.0 - EPS_FEAS
+    x = [0.0] + [0.14285712] * 6
+    x.append(math.nextafter(bound, 0.0) - sum(x))
+    x += [0.4 * math.ulp(bound)] * 4
+    leaves = x[1:]
+    assert sum(leaves) < bound <= sum(reversed(leaves))
+    assert pv.threshold_set(x) == ()
+    # the cover row's lhs is summed in vertex order
+    row = pv.separate(star, x)
+    assert row is not None and row.suppressed == ()
+    # the capped supply is summed in membership order (edge i is leaf i + 1)
+    cut = pv.capped_coverage_cut(star, 0, x)
+    assert cut is not None and cut.kept == tuple(range(11))
+
+
 # --------------------------------------------- builders against the reference
 
 
