@@ -199,11 +199,8 @@ def test_lp_ladder_values():
     assert pv.solve_relaxation(inst).objective == pytest.approx(79.893000, abs=1e-6)
 
 
-def test_lp_work_counters_pinned(monkeypatch):
-    # LP solves and total pivots of the natural and strengthened loops on the
-    # ladder cells above and on 150/400/30; a kernel change that keeps every
-    # pivot choice keeps them, and a separation change that picks shallower
-    # capped rows shows in the strengthened solve counts
+def ladder_work(monkeypatch, cells):
+    """(LP solves, total pivots) of the natural and strengthened loops on each cell."""
     pivots = []
 
     def counting(lp):
@@ -213,13 +210,51 @@ def test_lp_work_counters_pinned(monkeypatch):
 
     monkeypatch.setattr(relaxation, "lp_solve", counting)
     got = []
-    for n, m, r in ((40, 80, 8), (80, 200, 16), (150, 400, 30)):
+    for n, m, r in cells:
         inst = pv.generate_random(n, m, r, 1, pv.GeneratorConfig(weight_range=(1, 3)))
         for solve in (pv.solve_natural_lp, pv.solve_relaxation):
             pivots.clear()
             solve(inst)
             got.append((len(pivots), sum(pivots)))
+    return got
+
+
+def test_lp_work_counters_pinned(monkeypatch):
+    # LP solves and total pivots of the natural and strengthened loops on the
+    # ladder cells above, on 150/400/30 and on 250/700/50, where the largest-
+    # violation leaving rule takes a fifth of Bland's natural pivots; a kernel
+    # change that keeps every pivot choice keeps them, and a separation change
+    # that picks shallower capped rows shows in the strengthened solve counts
+    got = ladder_work(monkeypatch, ((40, 80, 8), (80, 200, 16), (150, 400, 30), (250, 700, 50)))
+    assert got == [
+        (6, 54), (12, 63), (12, 216), (42, 282), (15, 1021), (127, 2511), (16, 2561), (212, 5379),
+    ]
+
+
+def test_bland_fallback_from_the_first_pivot_gives_blands_counts(monkeypatch):
+    # with the fallback taking over before any degenerate run, every leaving
+    # row is the out-of-bounds basic variable of smallest index: the counts
+    # are those of the kernel that used Bland's rule alone
+    monkeypatch.setattr(lp_module, "_BLAND_AFTER", 0)
+    got = ladder_work(monkeypatch, ((40, 80, 8), (80, 200, 16), (150, 400, 30)))
     assert got == [(6, 92), (11, 68), (12, 488), (42, 452), (15, 3827), (125, 5507)]
+
+
+def test_largest_violation_and_bland_take_different_paths(monkeypatch):
+    # min x0 + 2 x1 with x0 + 2 x1 >= 1 and 2 x1 >= 2: the second row's slack
+    # (-2) is the most violated, and x1 entering there meets both rows at
+    # once; Bland's rule lets the first row's slack (-1) leave first, x0
+    # enters on the ratio tie, and two more pivots take it out again
+    def solve():
+        lp = LinearProgram([1.0, 2.0]).add_row({0: 1.0, 1: 2.0}, 1.0, GE).add_row({1: 2.0}, 2.0, GE)
+        return lp_solve(lp)
+
+    largest = solve()
+    monkeypatch.setattr(lp_module, "_BLAND_AFTER", 0)
+    bland = solve()
+    assert (largest.pivots, bland.pivots) == (1, 3)
+    assert largest.value == bland.value == pytest.approx(2.0, abs=1e-12)
+    assert largest.x == bland.x == (0.0, 1.0)
 
 
 def batched_lp(rng):
@@ -251,9 +286,10 @@ def test_warm_solve_after_batched_appends_matches_a_cold_solve(monkeypatch):
     # carried tableau must give what a fresh LinearProgram with the same rows
     # gives, also after an infeasible verdict and across a mid-solve refactor.
     # The basis is factored once 32 pivots have passed since its last
-    # factorization, counted across solves, and otherwise only before an
-    # infeasible verdict or a verdict whose dual certificate fails; so a
-    # certified optimum with fewer than 32 carried pivots factors nothing.
+    # factorization, counted across solves, and otherwise only before a
+    # verdict whose certificate (dual bound or Farkas ray) fails, which these
+    # well-scaled rows never give; so a certified optimum with fewer than 32
+    # carried pivots factors nothing.
     factored = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: factored.append(1) or inv(a))
@@ -264,7 +300,7 @@ def test_warm_solve_after_batched_appends_matches_a_cold_solve(monkeypatch):
         scale = 1.0 + float(np.abs(objective).sum())
         lp = LinearProgram(list(objective))
         infeasible = False
-        inverses = pivots = infeasible_verdicts = 0
+        inverses = pivots = 0
         for batch in batches:
             for coeffs, rhs, sense in batch:
                 lp.add_row(coeffs, rhs, sense)
@@ -273,8 +309,7 @@ def test_warm_solve_after_batched_appends_matches_a_cold_solve(monkeypatch):
             warm = lp_solve(lp)
             inverses += len(factored)
             pivots += warm.pivots
-            infeasible_verdicts += warm.status == "infeasible"
-            assert inverses <= pivots // 32 + infeasible_verdicts
+            assert inverses <= pivots // 32
             if warm.status == "optimal" and carried + warm.pivots < 32:
                 assert not factored
                 short_warm += warm.pivots > 0 and len(lp.rows) > len(batch)
@@ -323,6 +358,67 @@ def test_failed_certificate_on_a_fresh_factorization_raises(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", lambda a: factored.append(1) or inv(a))
     lp = LinearProgram([1.0, 1.0]).add_row({0: 1.0, 1: 1.0}, 1.0, GE)
     with pytest.raises(pv.SolverError, match="fresh factorization"):
+        lp_solve(lp)
+    assert factored == [1]
+
+
+def ray_test_sequences():
+    """(objective, batches of dense rows) to re-solve after each batch: single
+    rows of small integer LPs, then the batched sequences of the warm test."""
+    rng = np.random.default_rng(7)
+    for _ in range(150):
+        objective, rows = random_lp(rng, n_max=6, rows_max=8)
+        yield objective, [[row] for row in rows]
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        objective, batches = batched_lp(rng)
+        dense = []
+        for batch in batches:
+            dense.append([])
+            for coeffs, rhs, sense in batch:
+                row = np.zeros(objective.size)
+                row[list(coeffs)] = list(coeffs.values())
+                dense[-1].append((row, rhs, sense))
+        yield objective, dense
+
+
+def test_infeasible_verdicts_carry_an_exact_farkas_ray():
+    # each infeasible verdict's ray, rebuilt exactly, has the duals' signs and
+    # a positive zero-objective bound b.ray - sum_j max(0, (A^T ray)_j), which
+    # no box point meeting every row allows.  Re-solving after each appended
+    # row or batch gives verdicts on tableaux pivoted since their last
+    # factorization, whose rows of B^-1 carry round-off of the wrong sign
+    infeasible = feasible = pivoted = 0
+    for objective, batches in ray_test_sequences():
+        lp = LinearProgram(list(objective))
+        rows = []
+        for batch in batches:
+            for coeffs, rhs, sense in batch:
+                lp.add_row(dict(enumerate(coeffs)), rhs, sense)
+                rows.append((coeffs, rhs, sense))
+            got = lp_solve(lp)
+            if got.status == "infeasible":
+                assert exact_dual_bound([0.0] * len(objective), rows, got.ray) > 0
+                infeasible += 1
+                pivoted += lp._tableau[-1] > 0
+            else:
+                assert got.ray is None
+                feasible += 1
+    assert infeasible >= 100
+    assert feasible >= 100
+    assert pivoted >= 100
+
+
+def test_failed_farkas_ray_on_a_fresh_factorization_raises(monkeypatch):
+    # x0 >= 2 leaves x0 above 1 after one pivot with no column to bring it
+    # back; with no ray accepted, the pivoted tableau is factored once and
+    # the fresh factorization's failure is an error, not a verdict
+    monkeypatch.setattr(lp_module, "_farkas_ray", lambda *args: None)
+    factored = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: factored.append(1) or inv(a))
+    lp = LinearProgram([1.0]).add_row({0: 1.0}, 2.0, GE)
+    with pytest.raises(pv.SolverError, match="Farkas certificate on a fresh factorization"):
         lp_solve(lp)
     assert factored == [1]
 
