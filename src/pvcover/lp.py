@@ -19,12 +19,16 @@ bound its cost favours.  Both verdicts are certified without a basis: an
 optimal one by weak duality, the duals read off the slacks' reduced costs
 giving a lower bound on every feasible point's cost that the value must
 meet within a tolerance, and an infeasible one by its Farkas ray, the
-leaving row of B^-1, whose zero-objective bound must be positive.  Built
-for tiny cutting-plane masters where determinism matters more than speed.
+leaving row of B^-1, whose zero-objective bound must be positive.  The
+basis is factored only when a certificate fails on a pivoted tableau: the
+tableau is dense and updated explicitly, so there is no eta file whose
+growth a refactor every so many pivots would bound.  Built for tiny
+cutting-plane masters where determinism matters more than speed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +45,6 @@ _PIVOT_EPS = 1e-9  # entries and reduced costs smaller than this never price or 
 _BOUND_TOL = 1e-9  # basic values this far outside their bounds must leave
 _RATIO_TIE = 1e-9  # ratio-test ties within this pick the smallest index, leaving-row ties the first row
 _BLAND_AFTER = 50  # consecutive degenerate pivots after which Bland's rule picks the leaving row
-_REFACTOR = 32  # pivots between fresh factorizations of the basis
 _CERT_TOL = 1e-9  # an optimal value may exceed its dual bound by this times 1 + |value|
 
 
@@ -79,6 +82,8 @@ class LinearProgram:
         self.objective = [float(c) for c in objective]
         if not self.objective:
             raise InputError("linear program needs at least one variable")
+        if not all(map(math.isfinite, self.objective)):
+            raise InputError("objective has a non-finite cost")
         self.rows: list[Row] = []
         n = self.nvars
         cost = np.array(self.objective)
@@ -121,13 +126,18 @@ class LinearProgram:
             raise InputError(f"row sense must be {GE!r} or {LE!r}, got {sense!r}")
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         cleaned = sorted((int(j), float(a)) for j, a in items)
+        rhs = float(rhs)
+        if not math.isfinite(rhs):
+            raise InputError(f"row has non-finite rhs {rhs!r}")
         n = self.nvars
         seen = set()
-        for j, _ in cleaned:
+        for j, a in cleaned:
             if not (0 <= j < n):
                 raise InputError(f"row references unknown variable {j}")
             if j in seen:
                 raise InputError(f"row repeats variable {j}")
+            if not math.isfinite(a):
+                raise InputError(f"row has non-finite coefficient {a!r} on variable {j}")
             seen.add(j)
         i = len(self.rows)
         if i == len(self._b):
@@ -136,8 +146,8 @@ class LinearProgram:
         for j, a in cleaned:
             row[j] = a
         self._sign[i] = row[n + i] = 1.0 if sense == LE else -1.0
-        self._b[i] = float(rhs)
-        self.rows.append(Row(tuple(cleaned), float(rhs), sense))
+        self._b[i] = rhs
+        self.rows.append(Row(tuple(cleaned), rhs, sense))
         return self
 
 
@@ -156,17 +166,16 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     instead, Bland's rule, until the next nondegenerate pivot; so no basis
     repeats.  T, d and x_B live in one bordered array, T with d as its last
     row and x_B as its last column, and each pivot moves all three with one
-    rank-1 update.  The basis is factored afresh once
-    _REFACTOR pivots have passed since its last factorization, a count
-    carried across solves.  An optimal verdict stands when its value is
-    within _CERT_TOL * (1 + |value|) of the weak-duality bound of its duals
-    (see _dual_bound); an infeasible verdict stands when the leaving row of
-    B^-1 is a Farkas ray (see _farkas_ray), which the outcome returns.  When
-    a verdict's certificate fails, the basis is factored afresh and the
-    solve goes on, and on a fresh factorization SolverError is raised.  The
-    returned point is clamped to the box.  Raises LpIterationLimit past
-    50 * (variables + rows) + 200 pivots, and SolverError on internal
-    numerical failures; lp keeps its state only from a verdict.
+    rank-1 update.  An optimal verdict stands when its value is within
+    _CERT_TOL * (1 + |value|) of the weak-duality bound of its duals (see
+    _dual_bound); an infeasible verdict stands when the leaving row of B^-1
+    is a Farkas ray (see _farkas_ray), which the outcome returns.  The basis
+    is factored only when a certificate fails on a tableau pivoted since its
+    last factorization, and the solve goes on from the fresh one; a failure
+    on a fresh factorization raises SolverError.  The returned point is
+    clamped to the box.  Raises LpIterationLimit past 50 * (variables +
+    rows) + 200 pivots, and SolverError on internal numerical failures; lp
+    keeps its state only from a verdict.
     """
     n = lp.nvars
     K, sign, b, cost = lp._arrays()
@@ -181,9 +190,6 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     cap = 50 * (n + m) + 200
     pivots = degenerate = 0
     while True:
-        if since >= _REFACTOR:
-            _factor(M, K, b, cost, basis, side, slack_tol)
-            since = 0
         excess = np.maximum(-xb, xb - ub)
         out = (excess > _BOUND_TOL).nonzero()[0]
         if out.size == 0:
@@ -196,7 +202,8 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
                 break
             if not since:
                 raise SolverError("optimal value fails its dual bound on a fresh factorization")
-            since = _REFACTOR
+            _factor(M, K, b, cost, basis, side, slack_tol)
+            since = 0
             continue
         if degenerate < _BLAND_AFTER:
             # an extreme read through argmax (here) or argmin (the ratio test)
@@ -218,7 +225,8 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
                 return LpOutcome("infeasible", None, None, pivots, ray=tuple(ray.tolist()))
             if not since:
                 raise SolverError("infeasible row fails its Farkas certificate on a fresh factorization")
-            since = _REFACTOR
+            _factor(M, K, b, cost, basis, side, slack_tol)
+            since = 0
             continue
         ratio = np.abs(d[candidates] / alpha[candidates])
         step = ratio[ratio.argmin()]

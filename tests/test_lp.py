@@ -189,8 +189,8 @@ def test_lp_resolve_after_each_appended_row():
 
 
 def test_lp_ladder_values():
-    # the longest pivot sequences in the suite: 40/80/8 and 80/200/16 natural
-    # LPs and the cutting-plane masters of their strengthened relaxations
+    # values of the 40/80/8 and 80/200/16 natural LPs and of the
+    # cutting-plane masters of their strengthened relaxations
     inst = pv.generate_random(40, 80, 8, 1, pv.GeneratorConfig(weight_range=(1, 3)))
     assert pv.solve_natural_lp(inst).objective == pytest.approx(39.125, abs=1e-6)
     assert pv.solve_relaxation(inst).objective == pytest.approx(40.0, abs=1e-6)
@@ -227,8 +227,39 @@ def test_lp_work_counters_pinned(monkeypatch):
     # that picks shallower capped rows shows in the strengthened solve counts
     got = ladder_work(monkeypatch, ((40, 80, 8), (80, 200, 16), (150, 400, 30), (250, 700, 50)))
     assert got == [
-        (6, 54), (12, 63), (12, 216), (42, 282), (15, 1021), (127, 2511), (16, 2561), (212, 5379),
+        (6, 54), (14, 68), (12, 216), (42, 282), (15, 1021), (127, 2511), (16, 2561), (212, 5379),
     ]
+
+
+def test_ladder_loops_carry_their_tableau_without_drift(monkeypatch):
+    # the natural and strengthened loops on 150/400/30 carry over a thousand
+    # pivots each with no factorization; the last master the loop solved,
+    # rebuilt cold from its rows, must give the same value and point
+    factored = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: factored.append(1) or inv(a))
+    last = []
+
+    def capturing(lp):
+        out = lp_solve(lp)
+        last[:] = [lp, out]
+        return out
+
+    monkeypatch.setattr(relaxation, "lp_solve", capturing)
+    inst = pv.generate_random(150, 400, 30, 1, pv.GeneratorConfig(weight_range=(1, 3)))
+    for solve in (pv.solve_natural_lp, pv.solve_relaxation):
+        solve(inst)
+        assert not factored
+        lp, warm = last
+        assert lp._tableau[-1] > 1000  # pivots carried since the empty tableau
+        cold = LinearProgram(lp.objective)
+        for row in lp.rows:
+            cold.add_row(row.coeffs, row.rhs, row.sense)
+        want = lp_solve(cold)
+        scale = 1.0 + float(np.abs(lp.objective).sum())
+        assert warm.status == want.status == "optimal"
+        assert abs(warm.value - want.value) <= 1e-9 * scale
+        assert np.max(np.abs(np.subtract(warm.x, want.x))) <= 1e-9 * scale
 
 
 def test_bland_fallback_from_the_first_pivot_gives_blands_counts(monkeypatch):
@@ -284,35 +315,28 @@ def batched_lp(rng):
 def test_warm_solve_after_batched_appends_matches_a_cold_solve(monkeypatch):
     # the natural loop appends many rows per round; after each batch the
     # carried tableau must give what a fresh LinearProgram with the same rows
-    # gives, also after an infeasible verdict and across a mid-solve refactor.
-    # The basis is factored once 32 pivots have passed since its last
-    # factorization, counted across solves, and otherwise only before a
-    # verdict whose certificate (dual bound or Farkas ray) fails, which these
-    # well-scaled rows never give; so a certified optimum with fewer than 32
-    # carried pivots factors nothing.
+    # gives, also after an infeasible verdict and after long runs of carried
+    # pivots.  The basis is factored only when a verdict's certificate (dual
+    # bound or Farkas ray) fails, which these well-scaled rows never give, so
+    # no solve of a sequence factors anything.
     factored = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: factored.append(1) or inv(a))
     rng = np.random.default_rng(5)
-    after_infeasible = long_warm = short_warm = 0
+    after_infeasible = long_warm = past_32 = 0
     for _ in range(40):
         objective, batches = batched_lp(rng)
         scale = 1.0 + float(np.abs(objective).sum())
         lp = LinearProgram(list(objective))
         infeasible = False
-        inverses = pivots = 0
         for batch in batches:
             for coeffs, rhs, sense in batch:
                 lp.add_row(coeffs, rhs, sense)
-            carried = lp._tableau[-1]
             factored.clear()
             warm = lp_solve(lp)
-            inverses += len(factored)
-            pivots += warm.pivots
-            assert inverses <= pivots // 32
-            if warm.status == "optimal" and carried + warm.pivots < 32:
-                assert not factored
-                short_warm += warm.pivots > 0 and len(lp.rows) > len(batch)
+            assert not factored
+            # pivots carried since the empty tableau, with no factorization
+            past_32 += lp._tableau[-1] >= 32
             cold = LinearProgram(list(objective))
             for row in lp.rows:
                 cold.add_row(row.coeffs, row.rhs, row.sense)
@@ -327,7 +351,7 @@ def test_warm_solve_after_batched_appends_matches_a_cold_solve(monkeypatch):
     # every case is exercised
     assert after_infeasible >= 10
     assert long_warm >= 3
-    assert short_warm >= 10
+    assert past_32 >= 10
 
 
 def test_corrupt_carried_slack_reduced_cost_is_caught_and_refactored(monkeypatch):
@@ -431,6 +455,26 @@ def test_add_row_validation():
         lp.add_row({7: 1.0}, 1.0, GE)
     with pytest.raises(pv.InputError):
         lp.add_row([(0, 1.0), (0, 2.0)], 1.0, GE)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_an_input_error(bad):
+    # a NaN defeats every comparison the certificates make, and an infinity
+    # turns the kernel's arithmetic into NaNs: both are refused on entry,
+    # before a rejected row writes anything
+    with pytest.raises(pv.InputError, match="non-finite cost"):
+        LinearProgram([1.0, bad])
+    lp = LinearProgram([1.0, 1.0])
+    for coeffs, rhs, sense in (
+        ({0: bad, 1: 1.0}, 1.0, GE),
+        ({0: 1.0, 1: bad}, 1.0, LE),
+        ({0: 1.0, 1: 1.0}, bad, GE),
+        ({0: 1.0, 1: 1.0}, bad, LE),
+    ):
+        with pytest.raises(pv.InputError, match="non-finite"):
+            lp.add_row(coeffs, rhs, sense)
+    assert lp.rows == [] and not lp._K.any()
+    assert lp_solve(lp.add_row({0: 1.0, 1: 1.0}, 1.0, GE)).value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solution_satisfies_rows_it_was_solved_with():
