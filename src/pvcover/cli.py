@@ -132,14 +132,11 @@ def _cmd_verify(args) -> int:
     for gi, margin in precondition_margins(inst, frac.x):
         print(f"margin group {gi}: {margin:.9g}")
     rates = single_round_success(inst, frac.x, args.trials, args.seed)
-    worst = None
     for gi, rate in enumerate(rates):
         print(
             f"group {gi}: frequency {rate.frequency:.6f} radius {rate.radius:.6f}"
         )
-        floor = rate.frequency + rate.radius
-        if worst is None or floor < worst:
-            worst = floor
+    worst = min(rate.frequency + rate.radius for rate in rates)
     print(f"trials: {args.trials}")
     print(f"min_frequency_plus_radius: {worst:.6f}")
     print(f"bound: {5 / 8:.6f}")

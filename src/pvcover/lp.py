@@ -360,8 +360,7 @@ def _audit_rows(lp, xs):
     bad = np.flatnonzero(sign * (lhs - b) > tol)
     if bad.size:
         i = int(bad[0])
-        row = lp.rows[i]
         raise SolverError(
             f"optimal point failed the feasibility audit on a row "
-            f"(lhs={float(lhs[i])!r}, rhs={row.rhs!r}, sense={row.sense})"
+            f"(lhs={float(lhs[i])!r}, rhs={float(b[i])!r}, sense={LE if sign[i] > 0 else GE})"
         )

@@ -43,16 +43,12 @@ __all__ = [
 CUTS_PER_GROUP = 200
 
 
-def _lhs(coefficients, x) -> float:
-    """Row sum of coefficients[v] * x_v, summed in coefficient order."""
-    return sum(a * x[v] for v, a in coefficients)
-
-
 class _CoverRow:
     """Shared evaluation of a row sum of coefficients[v] * x_v >= rhs."""
 
     def lhs_at(self, x) -> float:
-        return _lhs(self.coefficients, x)
+        """Row sum of coefficients[v] * x_v, summed in coefficient order."""
+        return sum(a * x[v] for v, a in self.coefficients)
 
     def satisfied_by(self, x, tol: float = EPS_FEAS) -> bool:
         return self.lhs_at(x) >= self.rhs - tol
@@ -71,9 +67,6 @@ class KnapsackCoverConstraint(_CoverRow):
     suppressed: tuple[int, ...]
     coefficients: tuple[tuple[int, int], ...]
     rhs: int
-
-    def key(self):
-        return (self.group, self.suppressed)
 
 
 def _cover_row(inst, group, covered):
@@ -113,13 +106,19 @@ def _touches(suppressed):
     return lambda u, v: u in picked or v in picked
 
 
-def build_kc_constraint(inst, group, suppressed):
-    """Truncated cover row for (group, suppressed), or None when satisfied already."""
-    picked = tuple(sorted(set(suppressed)))
-    walk = _cover_row(inst, group, _touches(picked))
+def _kc_row(inst, group, picked, covered):
+    """Cover row of the group with the sorted vertex set picked suppressed, or
+    None when no demand is left; covered is _touches(picked)."""
+    walk = _cover_row(inst, group, covered)
     if walk is None:
         return None
     return KnapsackCoverConstraint(group, picked, _coefficients(*walk), walk[0])
+
+
+def build_kc_constraint(inst, group, suppressed):
+    """Truncated cover row for (group, suppressed), or None when satisfied already."""
+    picked = tuple(sorted(set(suppressed)))
+    return _kc_row(inst, group, picked, _touches(picked))
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,6 @@ class CappedCoverageCut(_CoverRow):
     kept: tuple[int, ...]  # edge ids whose cap was not binding
     coefficients: tuple[tuple[int, int], ...]
     rhs: int
-
-    def key(self):
-        return ("cap", self.group, self.kept)
 
 
 def _capped_supply(inst, group, x, tol):
@@ -216,26 +212,18 @@ def threshold_rows(inst, x):
     picked = threshold_set(x)
     covered = _touches(picked)
     for gi in range(inst.r):
-        walk = _cover_row(inst, gi, covered)
-        if walk is not None:
-            yield KnapsackCoverConstraint(gi, picked, _coefficients(*walk), walk[0])
+        row = _kc_row(inst, gi, picked, covered)
+        if row is not None:
+            yield row
 
 
 def separate(inst, x, tol: float = EPS_FEAS) -> KnapsackCoverConstraint | None:
     """The first threshold-induced cover row violated at x, by group index, or None.
 
-    Only the suppressed set induced by the rounding threshold is ever examined,
-    and a row is built only for the group returned.
+    Only the suppressed set induced by the rounding threshold is ever
+    examined, and the walk stops at the first violated row.
     """
-    picked = threshold_set(x)
-    covered = _touches(picked)
-    for gi in range(inst.r):
-        walk = _cover_row(inst, gi, covered)
-        if walk is not None:
-            coefficients = _coefficients(*walk)
-            if _lhs(coefficients, x) < walk[0] - tol:
-                return KnapsackCoverConstraint(gi, picked, coefficients, walk[0])
-    return None
+    return next((row for row in threshold_rows(inst, x) if not row.satisfied_by(x, tol)), None)
 
 
 @dataclass(frozen=True)
@@ -255,10 +243,11 @@ class FractionalSolution:
 
 
 def _certificate(inst, x, pool):
-    rows = dict(pool)
-    for row in threshold_rows(inst, x):
-        rows.setdefault(row.key(), row)
-    cert = tuple(rows.values())
+    """The cover rows of pool, then x's threshold rows not among them, each
+    checked at x."""
+    rows = dict.fromkeys(row for row in pool if isinstance(row, KnapsackCoverConstraint))
+    rows.update(dict.fromkeys(threshold_rows(inst, x)))
+    cert = tuple(rows)
     for row in cert:
         if not row.satisfied_by(x, 10.0 * EPS_FEAS):
             raise SolverError(
@@ -282,15 +271,16 @@ def _log_cut(cut_log, cut, x):
 def _cut_loop(inst, pool, cut_log, violated):
     """Minimize costs . x over the rows of pool, appending violated rows until clean.
 
-    violated(x, tol) lists the rows to append at x, none when x is clean;
-    cover rows grow pool in place, and at most CUTS_PER_GROUP * r rows are
-    appended beyond the rows pool starts with.  The master keeps the basis of its last solve, so each round's
-    solve resumes from the previous optimum.  Returns (x, value, value trace).
+    pool is an insertion-ordered dict whose keys are the master's rows; rows
+    compare by value, so a rebuilt row is found in it.  violated(x, tol) lists the rows to append at x, none when x is clean;
+    appended rows grow pool in place, and at most CUTS_PER_GROUP * r rows
+    are appended beyond the rows pool starts with.  The master keeps the
+    basis of its last solve, so each round's solve resumes from the previous
+    optimum.  Returns (x, value, value trace).
     """
     lp = LinearProgram(inst.costs)
-    for row in pool.values():
+    for row in pool:
         lp.add_row(row.coefficients, row.rhs, GE)
-    caps: dict = {}
     cut_limit = CUTS_PER_GROUP * max(1, inst.r)
     added = 0
     trace = []
@@ -302,7 +292,7 @@ def _cut_loop(inst, pool, cut_log, violated):
             )
         trace.append(out.value)
         cuts = violated(out.x, EPS_FEAS)
-        fresh = [cut for cut in cuts if cut.key() not in pool and cut.key() not in caps]
+        fresh = [cut for cut in cuts if cut not in pool]
         if not fresh:
             # every violated row is already in the master: numerical stall
             if not cuts or not violated(out.x, 10.0 * EPS_FEAS):
@@ -314,7 +304,7 @@ def _cut_loop(inst, pool, cut_log, violated):
         if added > cut_limit:
             raise CutLimitExceeded(f"more than {cut_limit} cuts generated")
         for cut in fresh:
-            (caps if isinstance(cut, CappedCoverageCut) else pool)[cut.key()] = cut
+            pool[cut] = None
             lp.add_row(cut.coefficients, cut.rhs, GE)
             _log_cut(cut_log, cut, out.x)
 
@@ -349,7 +339,7 @@ def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> Frac
     if mode not in ("direct", "delta"):
         raise InputError(f"unknown relaxation mode {mode!r}")
     # the zero point's threshold set is empty: each group's unsuppressed row
-    pool = {row.key(): row for row in threshold_rows(inst, [0.0] * inst.n)}
+    pool = dict.fromkeys(threshold_rows(inst, [0.0] * inst.n))
     x, value, trace = _cut_loop(inst, pool, cut_log, _strengthened(inst))
     return FractionalSolution(
         x=x,
@@ -376,6 +366,6 @@ def solve_natural_lp(inst: Instance) -> FractionalSolution:
         rows = (capped_coverage_cut(inst, gi, x, tol, truncate=False) for gi in range(inst.r))
         return [row for row in rows if row is not None]
 
-    pool = {row.key(): row for row in violated([0.0] * inst.n, EPS_FEAS)}
+    pool = dict.fromkeys(violated([0.0] * inst.n, EPS_FEAS))
     x, value, _ = _cut_loop(inst, pool, None, violated)
     return FractionalSolution(x=x, objective=value, certificate=())

@@ -618,6 +618,54 @@ def test_cut_limit_error(monkeypatch):
     assert tripped > 0  # at least one instance in the family needs a lazy cut
 
 
+@pytest.mark.parametrize("kind", ["cover", "capped"])
+def test_duplicate_cut_stalls_only_while_it_stays_violated(star5, kind):
+    """A violated row the master already holds appends nothing: the loop
+    returns when the row passes at 10 * EPS_FEAS and raises when it does not.
+
+    The duplicate is rebuilt, not the table's own object, so the table must
+    recognise equal rows of either class."""
+    zero = [0.0] * star5.n
+    if kind == "cover":
+        pool = dict.fromkeys(relaxation.threshold_rows(star5, zero))
+        again = pv.build_kc_constraint(star5, 0, ())
+    else:
+        pool = dict.fromkeys([pv.capped_coverage_cut(star5, 0, zero, truncate=False)])
+        again = pv.capped_coverage_cut(star5, 0, zero, truncate=False)
+    assert list(pool) == [again]
+    start = list(pool)
+
+    def shortfall_of(depth):
+        # the row reads short by depth at every point, whatever the master says
+        return lambda x, tol: [again] if depth > tol else []
+
+    log: list[str] = []
+    x, value, trace = relaxation._cut_loop(star5, pool, log, shortfall_of(5 * EPS_FEAS))
+    assert list(pool) == start and log == [] and len(trace) == 1
+    assert value == pytest.approx(1.0 / 5 if kind == "capped" else 1.0, abs=1e-9)
+    with pytest.raises(pv.SolverError, match="stalled on a duplicate cut"):
+        relaxation._cut_loop(star5, pool, log, shortfall_of(20 * EPS_FEAS))
+    assert list(pool) == start and log == []
+
+
+def test_certificate_holds_the_cover_rows_only():
+    """Capped rows steer the strengthened loop but never enter the certificate:
+    it is the r starting rows plus one row per appended cover cut, which is
+    what solve's cuts: line reports."""
+    cfg = pv.GeneratorConfig(weight_range=(1, 3))
+    with_capped = 0
+    for seed in range(50, 60):
+        inst = pv.generate_random(14, 22, 4, seed, cfg)
+        log: list[str] = []
+        cert = pv.solve_relaxation(inst, cut_log=log).certificate
+        assert all(isinstance(row, pv.KnapsackCoverConstraint) for row in cert), seed
+        assert len(set(cert)) == len(cert), seed
+        cover_cuts = sum(" suppressed=" in line for line in log)
+        assert len(cert) - inst.r == cover_cuts, seed
+        with_capped += any(" kept=" in line for line in log)
+    assert with_capped >= 5  # the capped step runs on most of the family
+
+
 def test_scaling_costs_scales_the_value():
     inst = random_instances(1, n=8, m=12, r=3, seed0=6)[0]
     scaled = pv.Instance(
