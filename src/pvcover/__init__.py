@@ -37,7 +37,7 @@ from .instance import (
     serialize_set_cover,
     with_overlapping_groups,
 )
-from .lp import GE, LE, LinearProgram, LpOutcome, lp_solve
+from .lp import LinearProgram, LpOutcome, lp_solve
 from .relaxation import (
     CappedCoverageCut,
     FractionalSolution,
@@ -92,8 +92,6 @@ __all__ = [
     "reduce_set_cover",
     "coverage",
     "is_feasible",
-    "GE",
-    "LE",
     "LinearProgram",
     "LpOutcome",
     "lp_solve",

@@ -67,7 +67,7 @@ class BenchConfig:
             raise InputError(f"trials must be at least 0, got {self.trials}")
         if not 0.0 <= self.overlap_extra <= 1.0:
             raise InputError(f"overlap_extra must be in [0, 1], got {self.overlap_extra}")
-        for name, (lo, hi) in (("n", self.n_range), ("r", self.r_range)):
+        for name, (lo, hi) in (("n", self.n_range), ("m", self.m_range), ("r", self.r_range)):
             if lo > hi:
                 raise InputError(f"empty {name} range: min {lo} is above max {hi}")
 

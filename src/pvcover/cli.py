@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 bad argument values or file and parse problems
-(unreadable input or unwritable output), 3 solver failures, 4 rounding that
-stays infeasible through all restarts.  Output is byte-identical across runs
-for a fixed seed; wall-clock timings only appear behind --timings so that
-guarantee survives.  It holds for one BLAS build and one BLAS thread count,
-so main runs numpy's bundled OpenBLAS on one thread.
+(unreadable input or unwritable output), 3 solver failures and arrays too
+large to allocate, 4 rounding that stays infeasible through all restarts.
+Output is byte-identical across runs for a fixed seed; wall-clock timings
+only appear behind --timings so that guarantee survives.  It holds for one
+BLAS build and one BLAS thread count, so main runs numpy's bundled OpenBLAS
+on one thread.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import BenchConfig, _timed, format_csv, gap_rows, run_bench
-from .errors import InputError, PvcoverError, RoundingFailure, SolverError
+from .errors import InputError, PvcoverError, RoundingFailure
 from .exact import DEFAULT_LIMIT, exact_solve
 from .greedy import greedy_solve
 from .instance import (
@@ -127,11 +128,12 @@ def _cmd_lp1(args) -> int:
 def _cmd_verify(args) -> int:
     inst = _load(args)
     frac = solve_relaxation(inst)
+    # sampled before any line is printed, so a run that fails prints no report
+    rates = single_round_success(inst, frac.x, args.trials, args.seed)
     _print_instance_header(args, inst)
     print(f"lp_objective: {frac.objective:.9g}")
     for gi, margin in precondition_margins(inst, frac.x):
         print(f"margin group {gi}: {margin:.9g}")
-    rates = single_round_success(inst, frac.x, args.trials, args.seed)
     for gi, rate in enumerate(rates):
         print(
             f"group {gi}: frequency {rate.frequency:.6f} radius {rate.radius:.6f}"
@@ -368,11 +370,11 @@ def main(argv=None) -> int:
         except RoundingFailure as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 4
-        except SolverError as exc:
+        except PvcoverError as exc:  # SolverError and its subclasses
             print(f"error: {exc}", file=sys.stderr)
             return 3
-        except PvcoverError as exc:  # pragma: no cover - base class safety net
-            print(f"error: {exc}", file=sys.stderr)
+        except MemoryError as exc:  # e.g. a trial count whose arrays cannot be allocated
+            print(f"error: out of memory: {exc}", file=sys.stderr)
             return 3
 
 

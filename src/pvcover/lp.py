@@ -1,29 +1,29 @@
-"""Small dense LP kernel: min c.x over rows a.x >= b or a.x <= b with 0 <= x <= 1.
+"""Small dense LP kernel: min c.x over rows a.x >= b with 0 <= x <= 1.
 
 Bounded dual simplex over a carried tableau.  The basic variable with the
 largest bound violation leaves, and the minimum-ratio column enters; after
 a run of degenerate pivots Bland's rule picks the leaving row until the
 next nondegenerate pivot, so the method cannot cycle.  Columns are the n
-structurals, in [0, 1], and one slack per row, in [0, inf): a.x - s = b
-for a GE row, a.x + s = b for an LE row; there are no artificials and no
-phase 1.  A LinearProgram keeps its rows once, densely, as they are
-appended, and with them the state its last solve ended on: the basis, the
-tableau T = B^-1 [A | +-I], the reduced costs d and the basic values x_B.
-A solve holds the last three in one bordered array, T with d as its last
-row and x_B as its last column, so each pivot is one rank-1 update.  Rows
-are only appended, never changed, and the objective stays fixed, so that
-basis plus the new rows' slacks stays dual feasible: the next solve borders
-the tableau with the new rows and resumes from it.  A first solve borders
-an empty tableau, which gives the slack basis with every structural at the
-bound its cost favours.  Both verdicts are certified without a basis: an
-optimal one by weak duality, the duals read off the slacks' reduced costs
-giving a lower bound on every feasible point's cost that the value must
-meet within a tolerance, and an infeasible one by its Farkas ray, the
-leaving row of B^-1, whose zero-objective bound must be positive.  The
-basis is factored only when a certificate fails on a pivoted tableau: the
-tableau is dense and updated explicitly, so there is no eta file whose
-growth a refactor every so many pivots would bound.  Built for tiny
-cutting-plane masters where determinism matters more than speed.
+structurals, in [0, 1], and one slack per row, in [0, inf), with
+a.x - s = b, so every slack column is -e_i; there are no artificials and no
+phase 1.  A <= row is the >= row -a.x >= -b.  A LinearProgram keeps its rows
+once, densely, as they are appended, and with them the state its last solve
+ended on: the basis, the tableau T = B^-1 [A | -I], the reduced costs d and
+the basic values x_B.  A solve holds the last three in one bordered array,
+T with d as its last row and x_B as its last column, so each pivot is one
+rank-1 update.  Rows are only appended, never changed, and the objective
+stays fixed, so that basis plus the new rows' slacks stays dual feasible:
+the next solve borders the tableau with the new rows and resumes from it.  A
+first solve borders an empty tableau, which gives the slack basis with
+every structural at the bound its cost favours.  Both verdicts are
+certified without a basis: an optimal one by weak duality, the duals read
+off the slacks' reduced costs giving a lower bound on every feasible
+point's cost that the value must meet within a tolerance, and an infeasible
+one by its Farkas ray, the leaving row of B^-1, whose zero-objective bound
+must be positive.  The basis is factored only when a certificate fails on a
+pivoted tableau: the tableau is dense and updated explicitly, so there is
+no eta file whose growth a refactor every so many pivots would bound.  Built
+for tiny cutting-plane masters where determinism matters more than speed.
 """
 
 from __future__ import annotations
@@ -36,10 +36,7 @@ import numpy as np
 from .constants import EPS_FEAS
 from .errors import InputError, LpIterationLimit, SolverError
 
-__all__ = ["GE", "LE", "Row", "LinearProgram", "LpOutcome", "lp_solve"]
-
-GE = ">="
-LE = "<="
+__all__ = ["Row", "LinearProgram", "LpOutcome", "lp_solve"]
 
 _PIVOT_EPS = 1e-9  # entries and reduced costs smaller than this never price or pivot
 _BOUND_TOL = 1e-9  # basic values this far outside their bounds must leave
@@ -50,9 +47,11 @@ _CERT_TOL = 1e-9  # an optimal value may exceed its dual bound by this times 1 +
 
 @dataclass(frozen=True)
 class Row:
+    """One appended row, coeffs . x >= rhs; only perfbench/tracing.py reads LinearProgram.rows."""
+
     coeffs: tuple[tuple[int, float], ...]
     rhs: float
-    sense: str
+    sense = ">="  # a class constant, not a field: read only by the tracer
 
 
 @dataclass(frozen=True)
@@ -61,20 +60,20 @@ class LpOutcome:
     value: float | None
     x: tuple[float, ...] | None
     pivots: int  # simplex pivots this solve took
-    duals: tuple[float, ...] | None = None  # one per row; >= 0 on GE rows, <= 0 on LE rows
-    # an infeasible verdict's Farkas ray, one per row with the duals' signs:
+    duals: tuple[float, ...] | None = None  # one per row, each >= 0
+    # an infeasible verdict's Farkas ray, one entry >= 0 per row:
     # b.ray > sum_j max(0, (A^T ray)_j), so no box point meets every row
     ray: tuple[float, ...] | None = None
 
 
 class LinearProgram:
-    """An objective plus an append-only row list over [0, 1]-boxed variables.
+    """An objective plus an append-only list of >= rows over [0, 1]-boxed variables.
 
     Each row is also written once into the buffers the kernel reads: the
-    constraint matrix with its slacks [A | +-I], row i's slack sign (+1 on an
-    LE row, -1 on a GE row) at column n + i, and the rhs and sign vectors.
-    The buffers double when full.  The zero-padded cost vector and the slack
-    reduced-cost tolerance depend on the objective alone and are set once.
+    constraint matrix with its slacks [A | -I], row i's slack coefficient -1
+    at column n + i, and the rhs vector.  The buffers double when full.  The
+    zero-padded cost vector and the slack reduced-cost tolerance depend on
+    the objective alone and are set once.
     The tableau state of the last lp_solve is kept for the next to resume from.
     """
 
@@ -108,22 +107,20 @@ class LinearProgram:
         """Reallocate the row buffers for cap rows, keeping the rows written so far."""
         n, m = self.nvars, len(self.rows)
         K = np.zeros((cap, n + cap))
-        sign, b, cost = np.zeros(cap), np.zeros(cap), np.zeros(n + cap)
+        b, cost = np.zeros(cap), np.zeros(n + cap)
         if m:
             K[:m, :n + m] = self._K[:m, :n + m]
-            sign[:m], b[:m] = self._sign[:m], self._b[:m]
+            b[:m] = self._b[:m]
         cost[:n] = self.objective
-        self._K, self._sign, self._b, self._cost = K, sign, b, cost
+        self._K, self._b, self._cost = K, b, cost
 
     def _arrays(self):
-        """Views of [A | +-I], the slack signs, the rhs and the padded costs."""
+        """Views of [A | -I], the rhs and the padded costs."""
         n, m = self.nvars, len(self.rows)
-        return self._K[:m, :n + m], self._sign[:m], self._b[:m], self._cost[:n + m]
+        return self._K[:m, :n + m], self._b[:m], self._cost[:n + m]
 
-    def add_row(self, coeffs, rhs, sense: str = GE) -> "LinearProgram":
-        """Append one constraint; coeffs is a {var: coef} map or (var, coef) pairs."""
-        if sense not in (GE, LE):
-            raise InputError(f"row sense must be {GE!r} or {LE!r}, got {sense!r}")
+    def add_row(self, coeffs, rhs) -> "LinearProgram":
+        """Append the row coeffs . x >= rhs; coeffs is a {var: coef} map or (var, coef) pairs."""
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         cleaned = sorted((int(j), float(a)) for j, a in items)
         rhs = float(rhs)
@@ -145,9 +142,9 @@ class LinearProgram:
         row = self._K[i]
         for j, a in cleaned:
             row[j] = a
-        self._sign[i] = row[n + i] = 1.0 if sense == LE else -1.0
+        row[n + i] = -1.0
         self._b[i] = rhs
-        self.rows.append(Row(tuple(cleaned), rhs, sense))
+        self.rows.append(Row(tuple(cleaned), rhs))
         return self
 
 
@@ -178,11 +175,11 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     keeps its state only from a verdict.
     """
     n = lp.nvars
-    K, sign, b, cost = lp._arrays()
+    K, b, cost = lp._arrays()
     m = b.size
     slack_tol = lp._slack_tol
 
-    M, basis, side, since = _border(lp._tableau, K, sign, b)
+    M, basis, side, since = _border(lp._tableau, K, b)
     T, d, xb = M[:m, :-1], M[m, :-1], M[:m, -1]
     # only structurals have an upper bound
     ub = np.where(basis < n, 1.0, np.inf)
@@ -195,9 +192,8 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         if out.size == 0:
             xs = _point(xb, basis, side)[:n].clip(0.0, 1.0)
             value = float(cost[:n] @ xs)
-            # row i's slack column is sign_i * e_i, so y_i = -sign_i * d[n + i],
-            # clipped to >= 0 on a GE row and <= 0 on an LE row
-            y = -sign * np.maximum(d[n:], 0.0)
+            # row i's slack column is -e_i, so y_i = d[n + i], clipped to >= 0
+            y = np.maximum(d[n:], 0.0)
             if value - _dual_bound(K, b, cost[:n], y) <= _CERT_TOL * (1.0 + abs(value)):
                 break
             if not since:
@@ -219,7 +215,7 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         candidates = eligible.nonzero()[0]
         if candidates.size == 0:
             # x_Br cannot reach its bound: row r of B^-1 should be a Farkas ray
-            ray = _farkas_ray(K, sign, b, T[r, n:], to_upper)
+            ray = _farkas_ray(K, b, T[r, n:], to_upper)
             if ray is not None:
                 lp._tableau = (T, d, xb, basis, side, since)
                 return LpOutcome("infeasible", None, None, pivots, ray=tuple(ray.tolist()))
@@ -261,27 +257,26 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
 def _dual_bound(K, b, c, y):
     """Weak-duality lower bound on c.x over the box points meeting every row.
 
-    With y_i >= 0 on GE rows and <= 0 on LE rows, y_i * a_i.x >= y_i * b_i,
-    and c.x = y.Ax + (c - A^T y).x >= b.y - sum_j max(0, (A^T y)_j - c_j)
+    With every y_i >= 0, y_i * a_i.x >= y_i * b_i on each row, and
+    c.x = y.Ax + (c - A^T y).x >= b.y - sum_j max(0, (A^T y)_j - c_j)
     for each x in [0, 1]^n.  No basis enters.
     """
     return float(b @ y) - float(np.maximum(y @ K[:, :c.size] - c, 0.0).sum())
 
 
-def _farkas_ray(K, sign, b, slack_row, to_upper):
+def _farkas_ray(K, b, slack_row, to_upper):
     """The Farkas ray of a basic variable that cannot reach its bound, or None.
 
-    slack_row is the leaving row r of T's slack block, B^-1 diag(sign), so
-    row r of B^-1 is slack_row * sign.  The ray is that row, negated when
-    x_Br lies below 0, so that it has the duals' signs (>= 0 on GE rows,
-    <= 0 on LE rows); a row with no entering candidate breaks them only by
-    round-off, and such entries are clipped to 0.  The ray proves
-    infeasibility when the zero objective's weak-duality bound
+    slack_row is the leaving row r of T's slack block, -B^-1, so row r of
+    B^-1 is -slack_row.  The ray is that row, negated when x_Br lies below 0,
+    so that like the duals it is >= 0; a row with no entering candidate
+    breaks that only by round-off, and such entries are clipped to 0.  The
+    ray proves infeasibility when the zero objective's weak-duality bound
     b.ray - sum_j max(0, (A^T ray)_j) exceeds _BOUND_TOL (see _dual_bound);
-    that bound is read off [A | +-I] and b, so no basis enters.
+    that bound is read off [A | -I] and b, so no basis enters.
     """
-    signed = slack_row if to_upper else -slack_row  # sign_i * ray_i, <= 0 on a ray
-    ray = np.minimum(signed, 0.0) * sign
+    signed = slack_row if to_upper else -slack_row  # -ray_i, <= 0 on a ray
+    ray = -np.minimum(signed, 0.0)
     if _dual_bound(K, b, np.zeros(K.shape[1] - b.size), ray) <= _BOUND_TOL:
         return None
     return ray
@@ -294,16 +289,16 @@ def _point(xb, basis, side):
     return x
 
 
-def _border(tableau, K, sign, b):
+def _border(tableau, K, b):
     """A fresh bordered array of the kept tableau state, with rows len(basis).. of K.
 
-    Returns (M, basis, side, since).  M is [[T, x_B], [d, 0]]: T = B^-1 [A | +-I]
+    Returns (M, basis, side, since).  M is [[T, x_B], [d, 0]]: T = B^-1 [A | -I]
     with d as its last row and x_B as its last column; its corner entry is
     never read.  A new row's slack is basic.  Its tableau row is its row of
     K with the basic columns eliminated by the rows of T where they are
-    basic, times the slack sign; reduced costs are unchanged (a slack costs
-    nothing), and the slack's value is the row's residual at the current
-    point.  basis and side are copies, and the count of pivots since the
+    basic, negated since the slack's coefficient is -1; reduced costs are
+    unchanged (a slack costs nothing), and the slack's value is the row's
+    residual at the current point.  basis and side are copies, and the count of pivots since the
     last factorization carries over unchanged.
     """
     T, d, xb, basis, side, since = tableau
@@ -315,8 +310,8 @@ def _border(tableau, K, sign, b):
     M[:m0, -1] = xb
     if m > m0:
         new = K[m0:]
-        M[m0:m, :-1] = sign[m0:, None] * (new - new[:, basis] @ M[:m0, :-1])
-        M[m0:m, -1] = sign[m0:] * (b[m0:] - new[:, :n + m0] @ _point(xb, basis, side))
+        M[m0:m, :-1] = -(new - new[:, basis] @ M[:m0, :-1])
+        M[m0:m, -1] = -(b[m0:] - new[:, :n + m0] @ _point(xb, basis, side))
     basis = np.concatenate([basis, np.arange(n + m0, n + m)])
     side = np.concatenate([side, np.zeros(m - m0)])
     return M, basis, side, since
@@ -349,18 +344,18 @@ def _factor(M, K, b, cost, basis, side, slack_tol):
 
 
 def _audit_rows(lp, xs):
-    """Raise unless the clamped point meets every row within the tolerance.
+    """Raise unless the clamped point meets every >= row within the tolerance.
 
-    A row's violation is its slack sign (+1 on LE, -1 on GE) times lhs - rhs.
+    A row's violation is rhs - lhs.
     """
     n = lp.nvars
-    K, sign, b, _ = lp._arrays()
+    K, b, _ = lp._arrays()
     tol = 10.0 * EPS_FEAS * (1.0 + float(np.abs(b).sum()))
     lhs = K[:, :n] @ xs
-    bad = np.flatnonzero(sign * (lhs - b) > tol)
+    bad = np.flatnonzero(b - lhs > tol)
     if bad.size:
         i = int(bad[0])
         raise SolverError(
             f"optimal point failed the feasibility audit on a row "
-            f"(lhs={float(lhs[i])!r}, rhs={float(b[i])!r}, sense={LE if sign[i] > 0 else GE})"
+            f"(lhs={float(lhs[i])!r}, rhs={float(b[i])!r})"
         )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .constants import EPS_FEAS, ROUNDING_THRESHOLD
 from .errors import CutLimitExceeded, InputError, SolverError
 from .instance import Instance
-from .lp import GE, LinearProgram, lp_solve
+from .lp import LinearProgram, lp_solve
 
 __all__ = [
     "KnapsackCoverConstraint",
@@ -280,7 +280,7 @@ def _cut_loop(inst, pool, cut_log, violated):
     """
     lp = LinearProgram(inst.costs)
     for row in pool:
-        lp.add_row(row.coefficients, row.rhs, GE)
+        lp.add_row(row.coefficients, row.rhs)
     cut_limit = CUTS_PER_GROUP * max(1, inst.r)
     added = 0
     trace = []
@@ -305,7 +305,7 @@ def _cut_loop(inst, pool, cut_log, violated):
             raise CutLimitExceeded(f"more than {cut_limit} cuts generated")
         for cut in fresh:
             pool[cut] = None
-            lp.add_row(cut.coefficients, cut.rhs, GE)
+            lp.add_row(cut.coefficients, cut.rhs)
             _log_cut(cut_log, cut, out.x)
 
 

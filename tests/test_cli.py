@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output shape, file round trips, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -146,6 +147,7 @@ def test_bad_argument_values_are_exit_2(capsys, star_file):
         (["gap", "--degrees", "2,x"], "2,x"),
         (["bench", "--count", "1", "--seed", "1", "--n-min", "10", "--n-max", "5"], "10"),
         (["bench", "--count", "2", "--seed", "1", "--r-min", "3", "--r-max", "2"], "3"),
+        (["bench", "--count", "2", "--seed", "1", "--m-min", "5", "--m-max", "-3"], "-3"),
         (["bench", "--count", "1", "--seed", "-1"], "-1"),
         (["verify", star_file, "--trials", "0"], "0"),
         (["verify", star_file, "--seed", "-1"], "-1"),
@@ -250,6 +252,18 @@ def test_solver_error_is_exit_3(capsys, star_file, monkeypatch):
     code, _, err = run_cli(capsys, "solve", star_file)
     assert code == 3
     assert err == "error: forced\n"
+
+
+def test_out_of_memory_is_exit_3(capsys, star_file):
+    # a trial count whose sample arrays run to petabytes: the allocation is
+    # refused at once, so no memory is taken, and the run ends with exit 3
+    for argv in (
+        ["verify", star_file, "--trials", "1000000000000000"],
+        ["bench", "--count", "2", "--seed", "0", "--trials", "1000000000000000"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("error: out of memory") and "Traceback" not in err
 
 
 def test_rounding_failure_is_exit_4(capsys, star_file, monkeypatch):
@@ -454,6 +468,21 @@ def test_solve_byte_identical_across_blas_thread_counts(tmp_path):
     two = _run_proc(argv, OPENBLAS_NUM_THREADS="2")
     assert one.returncode == 0 and one.stderr == b""
     assert one.stdout == two.stdout
+
+
+def test_solve_delta_prune_output_pinned(capsys, tmp_path, monkeypatch):
+    # the whole report of a delta-mode, pruned solve on 150/400/30, pinned by
+    # digest: an LP kernel refactor that claims to keep every pivot must keep
+    # these bytes
+    inst = pv.generate_random(150, 400, 30, seed=1, config=pv.GeneratorConfig(weight_range=(1, 3)))
+    monkeypatch.chdir(tmp_path)
+    Path("n150.pvc").write_text(pv.serialize_instance(inst), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", "n150.pvc", "--mode", "delta", "--prune", "--seed", "3")
+    assert code == 0 and err == ""
+    assert "cost_cap: 188" in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f685151467348b008faee79a564ea1787db92a569104c0474b74b35887742d10"
+    )
 
 
 def test_exact_byte_identical_and_pinned(tmp_path):

@@ -712,10 +712,10 @@ def _edge_variable_natural_lp(inst):
     n = inst.n
     lp = pv.LinearProgram(list(inst.costs) + [0.0] * inst.m)
     for eid, e in enumerate(inst.edges):
-        lp.add_row({e.u: 1.0, e.v: 1.0, n + eid: -1.0}, 0.0, pv.GE)
+        lp.add_row({e.u: 1.0, e.v: 1.0, n + eid: -1.0}, 0.0)
     for g in inst.groups:
         lp.add_row({n + eid: float(inst.edges[eid].weight) for eid in g.edges},
-                   float(g.target), pv.GE)
+                   float(g.target))
     out = pv.lp_solve(lp)
     assert out.status == "optimal"
     return out.value
