@@ -9,14 +9,17 @@ a.x - s = b, so every slack column is -e_i; there are no artificials and no
 phase 1.  A <= row is the >= row -a.x >= -b.  A LinearProgram keeps its rows
 once, densely, as they are appended, and with them the state its last solve
 ended on: the basis, the tableau T = B^-1 [A | -I], the reduced costs d and
-the basic values x_B.  A solve holds the last three in one bordered array,
-T with d as its last row and x_B as its last column, so each pivot is one
-rank-1 update.  Rows are only appended, never changed, and the objective
-stays fixed, so that basis plus the new rows' slacks stays dual feasible:
-the next solve borders the tableau with the new rows and resumes from it.  A
-first solve borders an empty tableau, which gives the slack basis with
-every structural at the bound its cost favours.  Both verdicts are
-certified without a basis: an optimal one by weak duality, the duals read
+the basic values x_B.  The last three live in one bordered array,
+[[T, x_B], [d, .]], T with d as its last row and x_B as its last column,
+kept contiguous at the front of a flat buffer that doubles with the row
+buffers, so each pivot is one rank-1 update of a view of it.  Rows are
+only appended, never changed, and the objective stays fixed, so that basis
+plus the new rows' slacks stays dual feasible: the next solve borders the
+tableau in place, laying the kept rows out again at the wider row stride
+and writing the new rows after them, and resumes from it.  A first solve
+borders an empty tableau, which gives the slack basis with every
+structural at the bound its cost favours.  Both verdicts are certified
+without a basis: an optimal one by weak duality, the duals read
 off the slacks' reduced costs giving a lower bound on every feasible
 point's cost that the value must meet within a tolerance, and an infeasible
 one by its Farkas ray, the leaving row of B^-1, whose zero-objective bound
@@ -43,6 +46,7 @@ _BOUND_TOL = 1e-9  # basic values this far outside their bounds must leave
 _RATIO_TIE = 1e-9  # ratio-test ties within this pick the smallest index, leaving-row ties the first row
 _BLAND_AFTER = 50  # consecutive degenerate pivots after which Bland's rule picks the leaving row
 _CERT_TOL = 1e-9  # an optimal value may exceed its dual bound by this times 1 + |value|
+_ABOVE_BOUND_TOL = math.nextafter(_BOUND_TOL, math.inf)  # the least excess past _BOUND_TOL
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,17 @@ class LinearProgram:
 
     Each row is also written once into the buffers the kernel reads: the
     constraint matrix with its slacks [A | -I], row i's slack coefficient -1
-    at column n + i, and the rhs vector.  The buffers double when full.  The
-    zero-padded cost vector and the slack reduced-cost tolerance depend on
-    the objective alone and are set once.
-    The tableau state of the last lp_solve is kept for the next to resume from.
+    at column n + i, the rhs vector and the running sum of |rhs| the audit
+    scales its tolerance by.  The zero-padded cost vector and the slack
+    reduced-cost tolerance depend on the objective alone and are set once.
+    The state the last lp_solve ended on stays in place for the next to
+    resume from: the bordered array [[T, x_B], [d, .]] over the k rows it
+    has seen, row by row in the leading (k + 1) * (n + k + 1) entries of the
+    flat buffer _tab, so that it is one contiguous array (see _bordered),
+    and the basis, each column's side and each basic variable's upper
+    bound, in the leading k, n + k and k entries of _basis, _side and _ub.
+    Every buffer doubles, with the row buffers, when full, and is zero past
+    what has been written.
     """
 
     def __init__(self, objective):
@@ -88,31 +99,51 @@ class LinearProgram:
         cost = np.array(self.objective)
         # round-off in a slack's reduced cost grows with the costs' scale
         self._slack_tol = _PIVOT_EPS * max(1.0, float(np.abs(cost).max()))
+        self._rhs_abs = 0.0
+        # the tableau of no rows: d is the cost vector and every structural
+        # sits at the bound its cost favours; side is +1 on a nonbasic column
+        # at its upper bound, -1 at its lower and 0 on a basic one.  k counts
+        # the rows the tableau holds, and since the pivots after the last
+        # factorization; broken marks a solve that raised part-way
+        self._K, self._b = np.zeros((0, n)), np.zeros(0)
+        self._tab = np.zeros(n + 1)
+        self._tab[:n] = cost
+        self._basis, self._ub = np.zeros(0, dtype=int), np.zeros(0)
+        self._side = np.where(cost < -_PIVOT_EPS, 1.0, -1.0)
+        self._k = self._since = 0
+        self._broken = False
         self._grow(16)
-        # (T, d, x_B, basis, side, since) of the last verdict, side being +1
-        # on a nonbasic column at its upper bound, -1 at its lower and 0 on a
-        # basic one, and since counting the pivots after the last
-        # factorization; with no rows every structural sits at the bound its
-        # cost favours
-        self._tableau = (
-            np.zeros((0, n)), cost, np.zeros(0), np.zeros(0, dtype=int),
-            np.where(cost < -_PIVOT_EPS, 1.0, -1.0), 0,
-        )
 
     @property
     def nvars(self) -> int:
         return len(self.objective)
 
     def _grow(self, cap: int) -> None:
-        """Reallocate the row buffers for cap rows, keeping the rows written so far."""
-        n, m = self.nvars, len(self.rows)
+        """Reallocate every buffer for cap rows, keeping what is written so far."""
+        n, m, k = self.nvars, len(self.rows), self._k
         K = np.zeros((cap, n + cap))
-        b, cost = np.zeros(cap), np.zeros(n + cap)
-        if m:
-            K[:m, :n + m] = self._K[:m, :n + m]
-            b[:m] = self._b[:m]
+        K[:m, :n + m] = self._K[:m, :n + m]
+        b = np.zeros(cap)
+        b[:m] = self._b[:m]
+        cost = np.zeros(n + cap)
         cost[:n] = self.objective
+        tab = np.zeros((cap + 1) * (n + cap + 1))
+        tab[:(k + 1) * (n + k + 1)] = self._tab[:(k + 1) * (n + k + 1)]
+        basis, side, ub = np.zeros(cap, dtype=int), np.zeros(n + cap), np.zeros(cap)
+        basis[:k] = self._basis[:k]
+        side[:n + k] = self._side[:n + k]
+        ub[:k] = self._ub[:k]
         self._K, self._b, self._cost = K, b, cost
+        self._tab, self._basis, self._side, self._ub = tab, basis, side, ub
+
+    def _bordered(self, k: int):
+        """The bordered array over k rows, a contiguous (k + 1) x (n + k + 1) view of _tab.
+
+        Contiguous, a rank-1 update of it runs as one flat loop, which on
+        large tableaux is markedly faster than over a strided block.
+        """
+        n = self.nvars
+        return self._tab[:(k + 1) * (n + k + 1)].reshape(k + 1, n + k + 1)
 
     def _arrays(self):
         """Views of [A | -I], the rhs and the padded costs."""
@@ -144,6 +175,7 @@ class LinearProgram:
             row[j] = a
         row[n + i] = -1.0
         self._b[i] = rhs
+        self._rhs_abs += abs(rhs)
         self.rows.append(Row(tuple(cleaned), rhs))
         return self
 
@@ -151,45 +183,51 @@ class LinearProgram:
 def lp_solve(lp: LinearProgram) -> LpOutcome:
     """Solve lp to proven optimality or report infeasibility.
 
-    Resumes from the tableau lp kept, bordered with the rows appended since,
-    whose slacks enter the basis; no factorization happens at the start.
-    Each pivot, the basic variable with the largest bound violation leaves,
-    max(-x_B, x_B - 1 on structurals), and the minimum-ratio column
-    |d_j| / |alpha_rj| enters.  Violations within _RATIO_TIE of the largest
-    count as ties and go to the first row, so round-off cannot choose
-    between rows that violate equally; ratio ties go to the smallest index.
-    After _BLAND_AFTER consecutive degenerate pivots (dual step at most
-    _RATIO_TIE) the out-of-bounds basic variable of smallest index leaves
-    instead, Bland's rule, until the next nondegenerate pivot; so no basis
-    repeats.  T, d and x_B live in one bordered array, T with d as its last
-    row and x_B as its last column, and each pivot moves all three with one
-    rank-1 update.  An optimal verdict stands when its value is within
-    _CERT_TOL * (1 + |value|) of the weak-duality bound of its duals (see
-    _dual_bound); an infeasible verdict stands when the leaving row of B^-1
-    is a Farkas ray (see _farkas_ray), which the outcome returns.  The basis
-    is factored only when a certificate fails on a tableau pivoted since its
-    last factorization, and the solve goes on from the fresh one; a failure
-    on a fresh factorization raises SolverError.  The returned point is
-    clamped to the box.  Raises LpIterationLimit past 50 * (variables +
-    rows) + 200 pivots, and SolverError on internal numerical failures; lp
-    keeps its state only from a verdict.
+    Resumes in place from the tableau lp kept, bordered with the rows
+    appended since, whose slacks enter the basis; no factorization happens
+    at the start.  Each pivot, the basic variable with the largest bound
+    violation leaves, max(-x_B, x_B - 1 on structurals), and the
+    minimum-ratio column |d_j| / |alpha_rj| enters.  Violations within
+    _RATIO_TIE of the largest count as ties and go to the first row, so
+    round-off cannot choose between rows that violate equally; ratio ties go
+    to the smallest index.  After _BLAND_AFTER consecutive degenerate pivots
+    (dual step at most _RATIO_TIE) the out-of-bounds basic variable of
+    smallest index leaves instead, Bland's rule, until the next
+    nondegenerate pivot; so no basis repeats.  T, d and x_B live in one
+    bordered array, T with d as its last row and x_B as its last column,
+    which is a view of lp's buffer, so each pivot moves all three in place
+    with one rank-1 update.  An optimal verdict stands when its value is
+    within _CERT_TOL * (1 + |value|) of the weak-duality bound of its duals
+    (see _dual_bound); an infeasible verdict stands when the leaving row of
+    B^-1 is a Farkas ray (see _farkas_ray), which the outcome returns.  The
+    basis is factored only when a certificate fails on a tableau pivoted
+    since its last factorization, and the solve goes on from the fresh one;
+    a failure on a fresh factorization raises SolverError.  The returned
+    point is clamped to the box.  Raises LpIterationLimit past
+    50 * (variables + rows) + 200 pivots, and SolverError on internal
+    numerical failures.  A solve that raises leaves the tableau part-way,
+    so every later solve of lp raises SolverError.
     """
+    if lp._broken:
+        raise SolverError("an earlier solve of this LP raised; its tableau cannot be resumed")
+    lp._broken = True
     n = lp.nvars
     K, b, cost = lp._arrays()
     m = b.size
     slack_tol = lp._slack_tol
 
-    M, basis, side, since = _border(lp._tableau, K, b)
+    _border(lp, K, b)
+    M = lp._bordered(m)
     T, d, xb = M[:m, :-1], M[m, :-1], M[:m, -1]
-    # only structurals have an upper bound
-    ub = np.where(basis < n, 1.0, np.inf)
+    basis, side, ub = lp._basis[:m], lp._side[:n + m], lp._ub[:m]
+    since = lp._since
 
     cap = 50 * (n + m) + 200
     pivots = degenerate = 0
     while True:
         excess = np.maximum(-xb, xb - ub)
-        out = (excess > _BOUND_TOL).nonzero()[0]
-        if out.size == 0:
+        top = excess.item(excess.argmax()) if m else 0.0
+        if not top > _BOUND_TOL:
             xs = _point(xb, basis, side)[:n].clip(0.0, 1.0)
             value = float(cost[:n] @ xs)
             # row i's slack column is -e_i, so y_i = d[n + i], clipped to >= 0
@@ -202,13 +240,15 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
             since = 0
             continue
         if degenerate < _BLAND_AFTER:
-            # an extreme read through argmax (here) or argmin (the ratio test)
-            # costs less than .max() or .min() on arrays this small
-            viol = excess[out]
-            r = out[(viol >= viol[viol.argmax()] - _RATIO_TIE).argmax()]
+            # the first row whose excess is both past _BOUND_TOL and within
+            # _RATIO_TIE of the largest; an extreme read through argmax (here)
+            # or argmin (the ratio test) costs less than .max() or .min() on
+            # arrays this small
+            r = (excess >= max(top - _RATIO_TIE, _ABOVE_BOUND_TOL)).argmax()
         else:
+            out = (excess > _BOUND_TOL).nonzero()[0]
             r = out[basis[out].argmin()]  # Bland: smallest variable index leaves
-        to_upper = bool(xb[r] > 0.0)
+        to_upper = xb.item(r) > 0.0
         alpha = T[r]
         raises = alpha * side  # > 0 where moving column j off its bound raises x_Br
         eligible = (raises < -_PIVOT_EPS) if to_upper else (raises > _PIVOT_EPS)
@@ -217,7 +257,8 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
             # x_Br cannot reach its bound: row r of B^-1 should be a Farkas ray
             ray = _farkas_ray(K, b, T[r, n:], to_upper)
             if ray is not None:
-                lp._tableau = (T, d, xb, basis, side, since)
+                lp._since = since
+                lp._broken = False
                 return LpOutcome("infeasible", None, None, pivots, ray=tuple(ray.tolist()))
             if not since:
                 raise SolverError("infeasible row fails its Farkas certificate on a fresh factorization")
@@ -225,8 +266,8 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
             since = 0
             continue
         ratio = np.abs(d[candidates] / alpha[candidates])
-        step = ratio[ratio.argmin()]
-        q = candidates[(ratio <= step + _RATIO_TIE).argmax()]
+        step = ratio.item(ratio.argmin())
+        q = candidates.item((ratio <= step + _RATIO_TIE).argmax())
         degenerate = degenerate + 1 if step <= _RATIO_TIE else 0
         pivots += 1
         if pivots > cap:
@@ -241,16 +282,17 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         pivot_row = M[r] / col[r]
         M -= col[:, None] * pivot_row
         M[r] = pivot_row
-        if side[q] > 0.0:
+        if side.item(q) > 0.0:
             xb[r] += 1.0
-        side[basis[r]] = 1.0 if to_upper else -1.0
+        side[basis.item(r)] = 1.0 if to_upper else -1.0
         side[q] = 0.0
         basis[r] = q
         ub[r] = 1.0 if q < n else np.inf
         since += 1
 
-    lp._tableau = (T, d, xb, basis, side, since)
-    _audit_rows(lp, xs)
+    lp._since = since
+    _audit_rows(K[:, :n], b, lp._rhs_abs, xs)
+    lp._broken = False
     return LpOutcome("optimal", value, tuple(xs.tolist()), pivots, tuple(y.tolist()))
 
 
@@ -289,32 +331,40 @@ def _point(xb, basis, side):
     return x
 
 
-def _border(tableau, K, b):
-    """A fresh bordered array of the kept tableau state, with rows len(basis).. of K.
+def _border(lp, K, b):
+    """Border lp's kept tableau state in place with rows lp._k.. of K.
 
-    Returns (M, basis, side, since).  M is [[T, x_B], [d, 0]]: T = B^-1 [A | -I]
-    with d as its last row and x_B as its last column; its corner entry is
-    never read.  A new row's slack is basic.  Its tableau row is its row of
-    K with the basic columns eliminated by the rows of T where they are
-    basic, negated since the slack's coefficient is -1; reduced costs are
-    unchanged (a slack costs nothing), and the slack's value is the row's
-    residual at the current point.  basis and side are copies, and the count of pivots since the
-    last factorization carries over unchanged.
+    The bordered array M is [[T, x_B], [d, .]]: T = B^-1 [A | -I] with d as
+    its last row and x_B as its last column; its corner entry is never
+    read.  Over k kept rows and m rows in all, the kept T, x_B and d are
+    laid out again at the wider row stride of the m-row array, within the
+    same buffer, and only the new rows are written besides.  A new row's
+    slack is basic.  Its tableau row is its row of K with the basic columns
+    eliminated by the rows of T where they are basic, negated since the
+    slack's coefficient is -1; reduced costs are unchanged (a slack costs
+    nothing), and the slack's value is the row's residual at the current
+    point.  The old rows are zero on the new slack columns, and the count
+    of pivots since the last factorization carries over unchanged.
     """
-    T, d, xb, basis, side, since = tableau
-    m0, m = basis.size, K.shape[0]
-    n = side.size - m0
-    M = np.zeros((m + 1, n + m + 1))
-    M[:m0, :n + m0] = T
-    M[m, :n + m0] = d
-    M[:m0, -1] = xb
-    if m > m0:
-        new = K[m0:]
-        M[m0:m, :-1] = -(new - new[:, basis] @ M[:m0, :-1])
-        M[m0:m, -1] = -(b[m0:] - new[:, :n + m0] @ _point(xb, basis, side))
-    basis = np.concatenate([basis, np.arange(n + m0, n + m)])
-    side = np.concatenate([side, np.zeros(m - m0)])
-    return M, basis, side, since
+    k, m = lp._k, b.size
+    if m == k:
+        return
+    n = lp.nvars
+    old, M = lp._bordered(k), lp._bordered(m)
+    xb = old[:k, -1].copy()
+    # d's new row lies past the old array's end, so it is written first,
+    # before T, whose copy numpy stages through a temporary as the two overlap
+    M[m, :n + k] = old[k, :n + k]
+    M[:k, :n + k] = old[:k, :n + k]
+    M[:k, n + k:-1] = 0.0
+    M[:k, -1] = xb
+    basis = lp._basis[:k]
+    new = K[k:]
+    M[k:m, :-1] = -(new - new[:, basis] @ M[:k, :-1])
+    M[k:m, -1] = -(b[k:] - new[:, :n + k] @ _point(xb, basis, lp._side[:n + k]))
+    lp._basis[k:m] = np.arange(n + k, n + m)
+    lp._ub[k:m] = np.inf  # only structurals have an upper bound
+    lp._k = m
 
 
 def _factor(M, K, b, cost, basis, side, slack_tol):
@@ -343,19 +393,18 @@ def _factor(M, K, b, cost, basis, side, slack_tol):
     M[:m, -1] = Binv @ (b - K @ x)
 
 
-def _audit_rows(lp, xs):
-    """Raise unless the clamped point meets every >= row within the tolerance.
+def _audit_rows(A, b, rhs_abs, xs):
+    """Raise unless the clamped point meets every >= row A x >= b within the tolerance.
 
-    A row's violation is rhs - lhs.
+    The tolerance scales with rhs_abs, the sum of |b|.  A row's violation
+    is rhs - lhs, and the first row past the tolerance is named.
     """
-    n = lp.nvars
-    K, b, _ = lp._arrays()
-    tol = 10.0 * EPS_FEAS * (1.0 + float(np.abs(b).sum()))
-    lhs = K[:, :n] @ xs
-    bad = np.flatnonzero(b - lhs > tol)
+    tol = 10.0 * EPS_FEAS * (1.0 + rhs_abs)
+    lhs = A @ xs
+    bad = (b - lhs > tol).nonzero()[0]
     if bad.size:
-        i = int(bad[0])
+        i = bad.item(0)
         raise SolverError(
             f"optimal point failed the feasibility audit on a row "
-            f"(lhs={float(lhs[i])!r}, rhs={float(b[i])!r})"
+            f"(lhs={lhs.item(i)!r}, rhs={b.item(i)!r})"
         )

@@ -145,18 +145,26 @@ def _capped_supply(inst, group, x, tol):
     row, or None when the capped edges alone meet the demand.
 
     The split treats an edge as capped once x_u + x_v >= 1 - tol, so a point
-    that wobbles by round-off around a sum of 1 picks the same row.  The
-    supply sums w_e * (x_u + x_v) over the kept members in membership order.
+    that wobbles by round-off around a sum of 1 picks the same row.  One
+    walk makes the split, takes each capped edge's weight off the demand
+    and sums the supply w_e * (x_u + x_v) over the kept members in
+    membership order.
     """
     split = 1.0 - tol
-    walk = _cover_row(inst, group, lambda u, v: x[u] + x[v] >= split)
-    if walk is None:
-        return None
-    left, kept = walk
+    left = inst.groups[group].target
+    kept = []
     supply = 0.0
-    for _, u, v, w in kept:
-        supply += w * (x[u] + x[v])
-    return left, kept, supply
+    for member in inst.group_members(group):
+        _, u, v, w = member
+        both = x[u] + x[v]
+        if both >= split:
+            left -= w
+            if left <= 0:
+                return None
+        else:
+            kept.append(member)
+            supply += w * both
+    return (left, kept, supply) if left > 0 else None
 
 
 def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS, truncate=True):
@@ -221,9 +229,29 @@ def separate(inst, x, tol: float = EPS_FEAS) -> KnapsackCoverConstraint | None:
     """The first threshold-induced cover row violated at x, by group index, or None.
 
     Only the suppressed set induced by the rounding threshold is ever
-    examined, and the walk stops at the first violated row.
+    examined, and the walk stops at the first violated row.  Each group is
+    walked once: its demand left and its kept members' weight per vertex
+    give the row's lhs at x, summed in vertex order as lhs_at sums it, and
+    only the violated row returned is built.
     """
-    return next((row for row in threshold_rows(inst, x) if not row.satisfied_by(x, tol)), None)
+    picked = threshold_set(x)
+    suppressed = frozenset(picked)
+    for gi in range(inst.r):
+        left = inst.groups[gi].target
+        acc: dict[int, int] = {}
+        for _, u, v, w in inst.group_members(gi):
+            if u in suppressed or v in suppressed:
+                left -= w
+                if left <= 0:
+                    break
+            else:
+                acc[u] = acc.get(u, 0) + w
+                acc[v] = acc.get(v, 0) + w
+        if left <= 0:
+            continue
+        if not sum(min(left, a) * x[v] for v, a in sorted(acc.items())) >= left - tol:
+            return _kc_row(inst, gi, picked, _touches(picked))
+    return None
 
 
 @dataclass(frozen=True)

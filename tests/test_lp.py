@@ -245,7 +245,7 @@ def test_ladder_loops_carry_their_tableau_without_drift(monkeypatch):
         solve(inst)
         assert not factored
         lp, warm = last
-        assert lp._tableau[-1] > 1000  # pivots carried since the empty tableau
+        assert lp._since > 1000  # pivots carried since the empty tableau
         K, b, _ = lp._arrays()
         cold = LinearProgram(lp.objective)
         for a, rhs in zip(K[:, :lp.nvars], b):
@@ -335,7 +335,7 @@ def test_warm_solve_after_batched_appends_matches_a_cold_solve(monkeypatch):
             warm = lp_solve(lp)
             assert not factored
             # pivots carried since the empty tableau, with no factorization
-            past_32 += lp._tableau[-1] >= 32
+            past_32 += lp._since >= 32
             cold = LinearProgram(list(objective))
             for coeffs, rhs in rows:
                 cold.add_row(coeffs, rhs)
@@ -364,7 +364,7 @@ def test_corrupt_carried_slack_reduced_cost_is_caught_and_refactored(monkeypatch
     lp = LinearProgram([1.0, 1.0]).add_row({0: 1.0, 1: 1.0}, 1.0)
     first = lp_solve(lp)
     assert (first.pivots, factored, first.duals) == (1, [], (1.0,))
-    lp._tableau[1][2] = 2.0  # the reduced cost of row 0's slack
+    lp._bordered(1)[1, 2] = 2.0  # the reduced cost of row 0's slack
     again = lp_solve(lp)
     assert factored == [1]
     assert again.pivots == 0
@@ -383,6 +383,65 @@ def test_failed_certificate_on_a_fresh_factorization_raises(monkeypatch):
     with pytest.raises(pv.SolverError, match="fresh factorization"):
         lp_solve(lp)
     assert factored == [1]
+
+
+def test_warm_solves_across_buffer_doublings_match_cold_solves(monkeypatch):
+    # rows appended in batches past 16, 32 and 64 rows, so the buffers double
+    # before a first solve, between solves with rows not yet bordered and
+    # after long runs of carried pivots; every buffer keeps the kept tableau
+    # through the copy, so each warm outcome equals a cold rebuild's and
+    # nothing is factored
+    factored = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: factored.append(1) or inv(a))
+    rng = np.random.default_rng(29)
+    caps = set()
+    carried = 0
+    for _ in range(8):
+        n = int(rng.integers(8, 40))
+        objective = rng.uniform(-0.5, 2.0, size=n)
+        scale = 1.0 + float(np.abs(objective).sum())
+        lp = LinearProgram(list(objective))
+        rows = []
+        for total in (20, 30, 40, 66, 80):
+            while len(rows) < total:
+                idx = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False)
+                coeffs = {int(j): float(rng.integers(1, 4)) for j in idx}
+                rhs = float(rng.integers(1, max(1, 2 * int(sum(coeffs.values())) // 3) + 1))
+                lp.add_row(coeffs, rhs)
+                rows.append((coeffs, rhs))
+            warm = lp_solve(lp)
+            caps.add(len(lp._b))
+            carried += lp._since > 0
+            cold = LinearProgram(list(objective))
+            for coeffs, rhs in rows:
+                cold.add_row(coeffs, rhs)
+            want = lp_solve(cold)
+            assert warm.status == want.status == "optimal"
+            assert abs(warm.value - want.value) <= 1e-9 * scale
+            assert np.max(np.abs(np.subtract(warm.x, want.x))) <= 1e-9 * scale
+    assert not factored
+    assert caps == {32, 64, 128}
+    assert carried >= 30
+
+
+def test_a_solve_that_raised_is_never_resumed(monkeypatch):
+    # a solve that raises leaves the tableau part-way through; the LP is
+    # marked, so the next solve raises too instead of resuming from it, even
+    # once the cause is gone
+    lp = LinearProgram([1.0, 1.0]).add_row({0: 1.0, 1: 1.0}, 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(lp_module, "_CERT_TOL", -1.0)
+        with pytest.raises(pv.SolverError, match="fresh factorization"):
+            lp_solve(lp)
+    assert lp_module._CERT_TOL == _CERT_TOL
+    with pytest.raises(pv.SolverError, match="cannot be resumed"):
+        lp_solve(lp)
+    lp.add_row({0: 1.0}, 0.5)
+    with pytest.raises(pv.SolverError, match="cannot be resumed"):
+        lp_solve(lp)
+    fresh = LinearProgram([1.0, 1.0]).add_row({0: 1.0, 1: 1.0}, 1.0).add_row({0: 1.0}, 0.5)
+    assert lp_solve(fresh).value == pytest.approx(1.0, abs=1e-12)
 
 
 def ray_test_sequences():
@@ -423,7 +482,7 @@ def test_infeasible_verdicts_carry_an_exact_farkas_ray():
             if got.status == "infeasible":
                 assert exact_dual_bound([0.0] * len(objective), rows, got.ray) > 0
                 infeasible += 1
-                pivoted += lp._tableau[-1] > 0
+                pivoted += lp._since > 0
             else:
                 assert got.ray is None
                 feasible += 1
@@ -491,6 +550,12 @@ def test_solution_satisfies_rows_it_was_solved_with():
             assert float(coeffs @ x) >= rhs - 1e-6
 
 
+def audit(lp, xs):
+    """_audit_rows on the row buffers and |rhs| sum lp_solve hands it."""
+    K, b, _ = lp._arrays()
+    _audit_rows(K[:, :lp.nvars], b, lp._rhs_abs, xs)
+
+
 def _first_bad_row(rows, xs):
     """Row-by-row reference for the audit: the first violated row and its lhs."""
     tol = 10.0 * pv.EPS_FEAS * (1.0 + sum(abs(rhs) for _, rhs in rows))
@@ -504,13 +569,13 @@ def _first_bad_row(rows, xs):
 def test_audit_names_the_first_violated_row():
     # x0 + x1 >= 1 and x0 <= 0.5, the latter written -x0 >= -0.5
     lp = LinearProgram([1.0, 1.0]).add_row({0: 1.0, 1: 1.0}, 1.0).add_row({0: -1.0}, -0.5)
-    _audit_rows(lp, np.array([0.5, 0.5]))  # both rows tight
+    audit(lp, np.array([0.5, 0.5]))  # both rows tight
     with pytest.raises(pv.SolverError, match=r"lhs=0\.75, rhs=1\.0\)"):
-        _audit_rows(lp, np.array([0.5, 0.25]))
+        audit(lp, np.array([0.5, 0.25]))
     with pytest.raises(pv.SolverError, match=r"lhs=-0\.75, rhs=-0\.5\)"):
-        _audit_rows(lp, np.array([0.75, 0.5]))
+        audit(lp, np.array([0.75, 0.5]))
     with pytest.raises(pv.SolverError, match=r"lhs=0\.75, rhs=1\.0\)"):
-        _audit_rows(lp, np.array([0.75, 0.0]))  # both rows fail; the first is named
+        audit(lp, np.array([0.75, 0.0]))  # both rows fail; the first is named
 
 
 def test_audit_agrees_with_the_row_by_row_reference():
@@ -524,12 +589,12 @@ def test_audit_agrees_with_the_row_by_row_reference():
         xs = rng.random(lp.nvars)
         want = _first_bad_row(rows, xs)
         if want is None:
-            _audit_rows(lp, xs)
+            audit(lp, xs)
             continue
         flagged += 1
         i, lhs = want
         with pytest.raises(pv.SolverError) as err:
-            _audit_rows(lp, xs)
+            audit(lp, xs)
         got = float(str(err.value).split("lhs=")[1].split(",")[0])
         assert got == pytest.approx(lhs, abs=1e-12)
         assert f"rhs={rows[i][1]!r})" in str(err.value)

@@ -456,6 +456,79 @@ def test_row_builders_match_the_per_edge_reference(monkeypatch):
     assert rows  # some points are cut, so whole rows are compared
 
 
+def closure_separate(inst, x, tol=EPS_FEAS):
+    """separate as the first unsatisfied row threshold_rows builds."""
+    return next((row for row in relaxation.threshold_rows(inst, x) if not row.satisfied_by(x, tol)), None)
+
+
+def closure_capped_supply(inst, group, x, tol):
+    """_capped_supply as a member walk with a per-member closure, then a
+    second pass that sums the kept members' supply."""
+    split = 1.0 - tol
+    walk = relaxation._cover_row(inst, group, lambda u, v: x[u] + x[v] >= split)
+    if walk is None:
+        return None
+    left, kept = walk
+    supply = 0.0
+    for _, u, v, w in kept:
+        supply += w * (x[u] + x[v])
+    return left, kept, supply
+
+
+def _tie_points(inst, rng, tol):
+    """Points with an edge's endpoint sum exactly 1 - tol or 1 + tol (or an
+    ulp off) and vertices exactly at the rounding threshold, at the
+    threshold less its slack, and an ulp below that."""
+    at = ROUNDING_THRESHOLD - EPS_FEAS
+    for total in (1.0 - tol, math.nextafter(1.0 - tol, 0.0), 1.0 + tol, 1.0):
+        for scale in (0.2, 0.6):
+            x = (rng.random(inst.n) * scale).tolist()
+            for v, xv in zip(rng.choice(inst.n, size=3, replace=False),
+                             (ROUNDING_THRESHOLD, at, math.nextafter(at, 0.0))):
+                x[v] = xv
+            e = inst.edges[int(rng.integers(inst.m))]
+            x[e.u], x[e.v] = 0.5, total - 0.5
+            assert x[e.u] + x[e.v] == total
+            yield x
+
+
+def test_one_pass_walks_match_the_row_building_walks(monkeypatch):
+    """separate and _capped_supply against the walks they replaced, which
+    build every group's row or walk it through a closure: the same row, or
+    None, and the same demand left, kept members and supply, float for
+    float, at random points, on both ties and at the LP points of both
+    relaxations."""
+    rng = np.random.default_rng(31)
+    insts = random_instances(6, n=9, m=16, r=3, weight_max=3)
+    insts += random_instances(6, n=8, m=14, r=3, weight_max=4, overlap=0.3)
+    rows = none = capped = ties = 0
+    for inst in insts:
+        points = [(rng.random(inst.n) * rng.choice([0.2, 0.5, 1.0])).tolist() for _ in range(8)]
+        points += _lp_points(inst, monkeypatch)
+        for tol in (EPS_FEAS, 10 * EPS_FEAS):
+            for x in points + list(_tie_points(inst, rng, tol)):
+                got = pv.separate(inst, x, tol)
+                assert got == closure_separate(inst, x, tol)
+                rows += got is not None
+                none += got is None
+                for gi in range(inst.r):
+                    walk = relaxation._capped_supply(inst, gi, x, tol)
+                    assert walk == closure_capped_supply(inst, gi, x, tol)
+                    capped += walk is not None
+        below = [(rng.random(inst.n) * ROUNDING_THRESHOLD * 0.99).tolist() for _ in range(8)]
+        for x in points + below:
+            # a tolerance that puts a row's lhs exactly at rhs - tol, which
+            # satisfies the row; rhs - lhs is exact within a factor of 2
+            for row in relaxation.threshold_rows(inst, x):
+                lhs = row.lhs_at(x)
+                if row.rhs / 2 <= lhs < row.rhs:
+                    tol = row.rhs - lhs
+                    assert row.rhs - tol == lhs
+                    assert pv.separate(inst, x, tol) == closure_separate(inst, x, tol)
+                    ties += 1
+    assert rows >= 50 and none >= 50 and capped >= 200 and ties >= 20
+
+
 def test_row_builders_keep_exact_python_ints_near_2_61():
     """Weights near 2**61, each group's total below 2**63: coefficients and
     rhs stay exact Python ints and equal the reference.  Group 2 has target

@@ -1,5 +1,6 @@
 """Threshold rounding: stream pinning, probabilities, the solve driver."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -218,3 +219,28 @@ def test_report_text_shape(star5):
     text = rep.to_text()
     assert "cost:" in text and "feasible: true" in text
     assert "time_" not in text
+
+
+def test_small_instance_outputs_pinned():
+    # the strengthened point, value, value trace, certificate and cost cap,
+    # the natural value and the pruned rounding of small instances, some
+    # with overlapping groups, pinned by digest: at these sizes the masters
+    # are a few rows and the tie margins of the kernel and the separation
+    # decide most pivots, so a change that claims to keep every float must
+    # keep these bytes
+    cfg = pv.GeneratorConfig(weight_range=(1, 3))
+    out = []
+    for n in range(14, 25):
+        for seed in (1, 2, 3):
+            inst = pv.generate_random(n, round(1.7 * n), n // 5, seed, cfg)
+            if seed == 3:
+                inst = pv.with_overlapping_groups(inst, 0.2, seed)
+            frac = pv.solve_relaxation(inst, mode="delta")
+            natural = pv.solve_natural_lp(inst).objective
+            sel, report = pv.solve_rounded(inst, frac, pv.RoundingConfig(seed=seed), prune=True)
+            out.append((frac.x, frac.objective, frac.objectives, frac.certificate,
+                        frac.cost_cap, natural, sel, report))
+    assert sum(len(o[2]) for o in out) == 233  # LP solves of the strengthened loops
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "b6f8f659f553c6dbd93eda62bfe2535cac8fe02c5a2feb0b4be8e41301114514"
+    )
