@@ -440,17 +440,18 @@ class Incidence:
 
 
 def covered_weights(inst: Instance, picked: np.ndarray) -> np.ndarray:
-    """Per-group covered weight of boolean pick masks: shape (..., n) to int64 (..., r).
+    """Per-group covered weight of a boolean pick mask: shape (n,) to int64 (r,),
+    or a batch of masks, shape (trials, n) to int64 (trials, r).
 
     An edge counts once toward each group that holds it when either endpoint
     is picked.
     """
     # vertex axis first, so each endpoint gather copies whole rows
-    by_vertex = np.moveaxis(picked, -1, 0)
-    return np.stack(
-        [w @ (by_vertex[u] | by_vertex[v]) for u, v, w in inst.incidence.group_arrays],
-        axis=-1,
-    )
+    by_vertex = picked.T
+    out = np.empty(picked.shape[:-1] + (inst.r,), dtype=np.int64)
+    for gi, (u, v, w) in enumerate(inst.incidence.group_arrays):
+        out[..., gi] = w @ (by_vertex[u] | by_vertex[v])
+    return out
 
 
 def coverage(inst: Instance, chosen) -> tuple[int, ...]:

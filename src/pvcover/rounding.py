@@ -9,10 +9,12 @@ O(log r) times the fractional objective.  The threshold is the one the
 separation oracle checks (constants.ROUNDING_THRESHOLD); the bound holds
 only because the two sides share it.
 
-Randomness is pinned: Philox streams from numpy, split per attempt and per
-round through SeedSequence.spawn, one uniform draw per below-threshold
-vertex in vertex id order.  A solve whose below-threshold pick
-probabilities are all 0 builds no round stream, since no draw could pick.
+Randomness is pinned: one Philox stream from numpy per rounding attempt,
+split off the seed through SeedSequence.spawn, whose rows are the
+attempt's rounds.  A round takes one uniform draw per below-threshold
+vertex of positive pick probability, in vertex id order; a vertex with
+x_v = 0 is never picked, so it takes no draw, and a solve with no such
+vertex builds no stream at all.
 """
 
 from __future__ import annotations
@@ -105,18 +107,23 @@ def rounds_for(r: int) -> int:
 
 
 def _plan(x):
-    """Threshold set, the other vertices in id order, and their pick probabilities 6 * x_v."""
+    """Threshold set, the vertices a round can pick, and their pick probabilities.
+
+    The pickable vertices are those below the threshold with x_v > 0, in
+    id order, each picked with probability 6 * x_v.  A uniform draw in
+    [0, 1) is never below 0, so leaving out the rest changes no round.
+    """
     sure = threshold_set(x)
     taken = set(sure)
-    rest = [v for v in range(len(x)) if v not in taken]
+    rest = [v for v in range(len(x)) if v not in taken and x[v] > 0]
     return sure, rest, ROUNDING_SCALE * np.array([x[v] for v in rest])
 
 
 def _draw(x, trials: int, rng: np.random.Generator):
-    """Threshold set, the other vertices, and a (trials, k) mask of their picks.
+    """Threshold set, the pickable vertices, and a (trials, k) mask of their picks.
 
     Row t consumes the same doubles as the t-th rng.random(k) call: one
-    uniform draw per below-threshold vertex, in vertex id order.
+    uniform draw per pickable vertex (see _plan), in vertex id order.
     """
     sure, rest, probs = _plan(x)
     return sure, rest, rng.random((trials, len(rest))) < probs
@@ -125,8 +132,9 @@ def _draw(x, trials: int, rng: np.random.Generator):
 def round_once(inst: Instance, x, rng: np.random.Generator) -> VertexSelection:
     """One independent rounding round.
 
-    Consumes exactly one uniform draw per below-threshold vertex, in vertex
-    id order, so a round can be replayed from its seed alone.
+    Consumes exactly one uniform draw per below-threshold vertex with
+    x_v > 0, in vertex id order, so a round can be replayed from its seed
+    alone.
     """
     sure, rest, picked = _draw(x, 1, rng)
     return VertexSelection.from_set(inst, sure + tuple(compress(rest, picked[0])))
@@ -150,6 +158,9 @@ def _rounds(inst: Instance, x, trials: int, rng: np.random.Generator):
 
     Round t is the threshold set plus row t of _draw's mask; a group succeeds
     where covered_weights, the evaluator behind coverage, reaches its target.
+    Every round holds the threshold set and coverage only grows with the
+    picks, so when the threshold set alone meets every target each round
+    succeeds everywhere and the rounds are not evaluated.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -157,8 +168,12 @@ def _rounds(inst: Instance, x, trials: int, rng: np.random.Generator):
     # vertex-major, the layout covered_weights gathers from
     by_vertex = np.zeros((inst.n, trials), dtype=bool)
     by_vertex[list(sure)] = True
-    by_vertex[rest] = picked.T
     targets = np.array([g.target for g in inst.groups], dtype=np.int64)
+    # column 0 holds the threshold set alone until the picks are written
+    sure_meets_all = (covered_weights(inst, by_vertex[:, 0]) >= targets).all()
+    by_vertex[rest] = picked.T
+    if sure_meets_all:
+        return by_vertex, np.ones((trials, inst.r), dtype=bool)
     return by_vertex, covered_weights(inst, by_vertex.T) >= targets
 
 
@@ -238,6 +253,11 @@ def solve_rounded(
 ) -> tuple[VertexSelection, SolveReport]:
     """Union rounds_for(r) independent rounds; restart on the rare failure.
 
+    Attempt a draws its rounds as the rows of one Philox stream seeded by
+    SeedSequence(cfg.seed).spawn(MAX_RESTARTS)[a], one uniform per pickable
+    vertex (see _plan) per round; with no pickable vertex the union is the
+    threshold set and no stream is built.
+
     Requires a clean fractional point: every still-unsatisfied group must
     have a normalized cover-row margin of at least 1, which is what makes a
     single round succeed with probability at least 5/8 per group.
@@ -249,18 +269,18 @@ def solve_rounded(
             )
     rounds = rounds_for(inst.r)
     sure, rest, probs = _plan(frac.x)
-    # a uniform draw in [0, 1) is never below 0, so with no positive pick
-    # probability no round can add a vertex and no round stream is built
-    drawable = bool((probs > 0).any())
     root = np.random.SeedSequence(cfg.seed)
     for attempt in range(MAX_RESTARTS):
-        # spawn numbers children by its running count, so this is
-        # root.spawn(MAX_RESTARTS)[attempt] without spawning the unused ones
-        (attempt_seed,) = root.spawn(1)
         chosen = set(sure)
-        for round_seed in attempt_seed.spawn(rounds) if drawable else ():
-            rng = np.random.Generator(np.random.Philox(round_seed))
-            chosen.update(compress(rest, rng.random(len(rest)) < probs))
+        # with no pickable vertex no round can add one, so no stream is built
+        if rest:
+            # spawn numbers children by its running count, so this is
+            # root.spawn(MAX_RESTARTS)[attempt] without spawning the unused ones
+            (attempt_seed,) = root.spawn(1)
+            rng = np.random.Generator(np.random.Philox(attempt_seed))
+            # row t is round t; a vertex joins the union if any round picks it
+            picked = rng.random((rounds, len(rest))) < probs
+            chosen.update(compress(rest, picked.any(axis=0)))
         union = VertexSelection.from_set(inst, chosen)
         if is_feasible(inst, union.chosen):
             pruned_cost = None

@@ -130,6 +130,28 @@ def test_coverage_matches_naive_recount():
         assert got == tuple(want)
 
 
+def test_covered_weights_one_mask_and_a_batch_match_naive_recount():
+    for inst in random_instances(6, n=9, m=14, r=4, weight_max=5) + random_instances(
+        6, n=9, m=14, r=4, weight_max=5, overlap=0.35
+    ):
+        masks = np.random.default_rng(inst.m).random((7, inst.n)) < 0.35
+        want = [
+            [
+                sum(inst.edges[eid].weight for eid in g.edges
+                    if row[inst.edges[eid].u] or row[inst.edges[eid].v])
+                for g in inst.groups
+            ]
+            for row in masks.tolist()
+        ]
+        batch = covered_weights(inst, masks)
+        assert batch.shape == (7, inst.r) and batch.dtype == np.int64
+        assert batch.tolist() == want
+        for row, expect in zip(masks, want):
+            one = covered_weights(inst, row)
+            assert one.shape == (inst.r,) and one.dtype == np.int64
+            assert one.tolist() == expect
+
+
 def test_generate_star_shape():
     star = pv.generate_star(5)
     assert star.n == 6

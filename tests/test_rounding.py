@@ -27,17 +27,21 @@ def test_round_once_takes_threshold_vertices_outright(star5):
 
 
 def test_round_once_consumes_one_draw_per_low_vertex_in_id_order(star5):
-    """Replay the documented stream contract with a twin generator."""
-    x = [0.5, 0.12, 0.03, 0.0, 0.11, 0.02]
+    """Replay the documented stream contract with a twin generator: one draw
+    per below-threshold vertex with x_v > 0, none for vertex 1 (x_v = 0)."""
+    x = [0.5, 0.0, 0.12, 0.03, 0.11, 0.02]
     sel = pv.round_once(star5, x, philox(99))
-    twin = philox(99)
-    draws = twin.random(5)  # vertices 1..5 sit below the threshold
-    want = {0}
-    for v, d in zip([1, 2, 3, 4, 5], draws):
-        if d < 6.0 * x[v]:
-            want.add(v)
+    draws = philox(99).random(5)
+
+    def picks(low, d):
+        return {0} | {v for v, u in zip(low, d) if u < 6.0 * x[v]}
+
+    want = picks([2, 3, 4, 5], draws)
     assert set(sel.chosen) == want
     assert sel.cost == len(want)
+    # a draw taken for vertex 1 would shift every later vertex's draw and
+    # pick another set at this seed, so the check tells the two apart
+    assert picks([1, 2, 3, 4, 5], draws) != want
 
 
 def test_simulate_rounds_replays_round_once_stream():
@@ -120,31 +124,37 @@ def test_solve_rounded_deterministic_and_feasible():
 
 
 def _replay_attempt(inst, x, seed, attempt, rounds):
-    """The union of round_once over the documented seed tree's attempt."""
+    """The union of round_once over the documented seed tree's attempt: one
+    stream per attempt, whose consecutive draws are its rounds."""
     attempt_seed = np.random.SeedSequence(seed).spawn(MAX_RESTARTS)[attempt]
+    rng = np.random.Generator(np.random.Philox(attempt_seed))
     union: set[int] = set()
-    for round_seed in attempt_seed.spawn(rounds):
-        rng = np.random.Generator(np.random.Philox(round_seed))
+    for _ in range(rounds):
         union.update(pv.round_once(inst, x, rng).chosen)
     return union
 
 
+# the centre alone covers the star; the leaves draw with probability 6 x_v
+STAR_POINT = (0.5, 0.12, 0.03, 0.0, 0.11, 0.02)
+
+
 def test_solve_rounded_union_replays_from_the_seed_tree(star5):
     """The documented stream layout: attempt streams are spawned off the seed,
-    round streams off the attempt, one generator per round."""
-    frac = pv.solve_relaxation(star5)
-    cfg = pv.RoundingConfig(seed=77)
-    sel, rep = pv.solve_rounded(star5, frac, cfg)
+    one generator per attempt whose rows are the rounds."""
+    frac = pv.FractionalSolution(x=STAR_POINT, objective=sum(STAR_POINT), certificate=())
+    sel, rep = pv.solve_rounded(star5, frac, pv.RoundingConfig(seed=77))
     assert rep.restarts == 0
-    assert set(sel.chosen) == _replay_attempt(star5, frac.x, 77, 0, rep.rounds)
+    union = _replay_attempt(star5, STAR_POINT, 77, 0, rep.rounds)
+    assert set(sel.chosen) == union
+    # the rounds drew some leaves but not all, so the union rests on the draws
+    assert {0} < union < {0, 1, 2, 4, 5}
 
 
 @pytest.mark.parametrize("rejected", [1, 2])
 def test_solve_rounded_restart_replays_its_attempt_seed(star5, monkeypatch, rejected):
     """Attempt a draws from SeedSequence(seed).spawn(MAX_RESTARTS)[a], whether
     or not the earlier attempts' seeds were spawned before it started."""
-    # the centre alone covers the star; the leaves draw with probability 6 x_v
-    x = (0.5, 0.12, 0.03, 0.0, 0.11, 0.02)
+    x = STAR_POINT
     frac = pv.FractionalSolution(x=x, objective=sum(x), certificate=())
     real = pv.rounding.is_feasible
     calls = []
@@ -167,8 +177,9 @@ def test_solve_rounded_restart_replays_its_attempt_seed(star5, monkeypatch, reje
 @pytest.mark.parametrize("low", [0.0, 1e-17])
 def test_solve_rounded_builds_round_streams_only_when_a_draw_can_pick(star5, monkeypatch, low):
     """A uniform draw in [0, 1) is never below 0, so with every below-threshold
-    pick probability exactly 0 no round stream is built; a round-off
-    probability such as 6e-17 still draws every round, since a 0.0 draw picks."""
+    pick probability exactly 0 no stream is built; a round-off probability
+    such as 6e-17 still draws every round from one stream per attempt, since
+    a 0.0 draw picks."""
     x = (0.5, 0.0, 0.0, low, 0.0, 0.0)
     frac = pv.FractionalSolution(x=x, objective=sum(x), certificate=())
     built = []
@@ -177,11 +188,8 @@ def test_solve_rounded_builds_round_streams_only_when_a_draw_can_pick(star5, mon
     sel, rep = pv.solve_rounded(star5, frac, pv.RoundingConfig(seed=5))
     monkeypatch.undo()
     rounds = pv.rounds_for(star5.r)
-    if low == 0.0:
-        assert built == []
-    else:
-        assert len(built) >= rounds
     assert rep.restarts == 0 and rep.rounds == rounds
+    assert len(built) == (0 if low == 0.0 else 1)
     assert set(sel.chosen) == _replay_attempt(star5, x, 5, 0, rounds)
 
 
@@ -194,6 +202,63 @@ def test_single_round_success_is_simulate_rounds_frequency():
         want = [float(samples.success[:, gi].mean()) for gi in range(inst.r)]
         assert [rate.frequency for rate in rates] == want
         assert all(0.0 < p < 1.0 for p in want)
+
+
+# two disjoint unit edges, one group each: a point whose threshold set meets
+# one group leaves only the other open
+TWO_EDGES_TEXT = """\
+p pvc 4 2 2
+v 0 1
+v 1 1
+v 2 1
+v 3 1
+e 0 0 1 1
+e 1 2 3 1
+g 0 0
+g 1 1
+k 0 1
+k 1 1
+"""
+
+
+def _round_success_reference(inst, x, trials, seed):
+    """Per-round group success by a plain recount of each round's coverage,
+    the rounds replayed with round_once from the same stream."""
+    rng = philox(seed)
+    rows = []
+    for _ in range(trials):
+        chosen = set(pv.round_once(inst, x, rng).chosen)
+        rows.append([
+            sum(inst.edges[eid].weight for eid in g.edges
+                if inst.edges[eid].u in chosen or inst.edges[eid].v in chosen) >= g.target
+            for g in inst.groups
+        ])
+    return rows
+
+
+def test_round_success_matches_per_round_coverage_reference():
+    """Rounds are not evaluated when the threshold set alone meets every
+    group; with or without that shortcut, each round's success is its
+    recounted coverage."""
+    points = []
+    for i, inst in enumerate(random_instances(3, n=9, m=14, r=3, weight_max=3, overlap=0.3)):
+        points.append((inst, pv.solve_relaxation(inst).x))
+        points.append((inst, philox(i).uniform(0.0, 0.1, size=inst.n).tolist()))
+    two = pv.parse_instance(TWO_EDGES_TEXT)
+    points += [(two, (0.5, 0.0, 0.05, 0.05)), (two, (0.05, 0.05, 0.5, 0.0))]
+    trials = 300
+    shortcut = 0
+    for inst, x in points:
+        sure_cover = pv.coverage(inst, pv.threshold_set(x))
+        shortcut += all(w >= g.target for w, g in zip(sure_cover, inst.groups))
+        want = _round_success_reference(inst, x, trials, seed=12)
+        samples = pv.simulate_rounds(inst, x, trials, philox(12))
+        assert samples.success.shape == (trials, inst.r)
+        assert samples.success.tolist() == want
+        rates = pv.single_round_success(inst, x, trials, seed=12)
+        assert [rate.frequency for rate in rates] == [sum(col) / trials for col in zip(*want)]
+    # the clean points take the shortcut; the others leave groups open
+    assert 0 < shortcut < len(points)
 
 
 def test_solve_rounded_prune_keeps_feasibility():
