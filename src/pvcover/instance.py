@@ -3,7 +3,7 @@
 It also owns the coverage rule: a group counts a member edge's weight once
 either end is picked.  coverage and covered_weights evaluate it for whole
 vertex sets; CoverCounts keeps it up to date one vertex at a time for the
-greedy, branch and bound and pruning loops.
+branch and bound and pruning loops.
 """
 
 from __future__ import annotations
@@ -426,11 +426,11 @@ class Incidence:
     """Adjacency of an instance, built once per instance object (Instance.incidence).
 
     vertex_edges[v] lists the edges at v and edge_groups[e] the groups that
-    hold e, in id order and as Python ints (CoverCounts walks them in
-    Python).  group_members[g] lists group g's member edges as Python-int
+    hold e, in id order and as Python ints (CoverCounts and greedy walk them
+    in Python).  group_members[g] lists group g's member edges as Python-int
     tuples (edge id, u, v, weight) in membership order, for the cover-row
-    walk in relaxation; group_arrays[g] holds the same u, v and weight as
-    read-only int64 arrays.
+    walk in relaxation and the per-group degrees in exact; group_arrays[g]
+    holds the same u, v and weight as read-only int64 arrays.
     """
 
     vertex_edges: tuple[tuple[int, ...], ...]
@@ -508,14 +508,13 @@ class CoverCounts:
         self._ends = [0] * inst.m
         self.weights = [0] * inst.r
 
-    def delta(self, v: int, mark: bool = True) -> dict[int, int]:
-        """Per-group weight that marking (or unmarking) v would add (or remove)."""
-        ends, weight, edge_groups = self._ends, self._weight, self._edge_groups
-        # an edge crosses `need` when it sits one below it (mark) or at it (unmark)
-        at = self._need - 1 if mark else self._need
+    def delta(self, v: int) -> dict[int, int]:
+        """Per-group weight that unmarking the marked vertex v would remove."""
+        ends, weight, edge_groups, need = self._ends, self._weight, self._edge_groups, self._need
         moved: dict[int, int] = {}
         for eid in self._vertex_edges[v]:
-            if ends[eid] == at:
+            # the edges at v with exactly `need` marked ends drop below it
+            if ends[eid] == need:
                 for gi in edge_groups[eid]:
                     moved[gi] = moved.get(gi, 0) + weight[eid]
         return moved

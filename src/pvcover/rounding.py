@@ -238,7 +238,7 @@ def _prune(inst, union: VertexSelection) -> tuple[int, ...]:
         counts.mark(v)
     kept = set(union.chosen)
     for v in sorted(union.chosen, key=lambda v: (-inst.costs[v], v)):
-        lost = counts.delta(v, mark=False)
+        lost = counts.delta(v)
         if all(counts.weights[gi] - w >= inst.groups[gi].target for gi, w in lost.items()):
             kept.remove(v)
             counts.unmark(v)

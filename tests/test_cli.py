@@ -488,7 +488,8 @@ def test_solve_delta_prune_output_pinned(capsys, tmp_path, monkeypatch):
 def test_exact_byte_identical_and_pinned(tmp_path):
     # zero-cost vertices keep several optima alive; the reported one is the
     # lexicographically smallest, the same with or without the greedy
-    # incumbent and the one-vertex bound (pinned from a search without them)
+    # incumbent and the cheapest-vertex and per-group knapsack bounds (pinned
+    # from a search without them)
     cfg = pv.GeneratorConfig(cost_range=(0, 5), weight_range=(1, 3))
     path = tmp_path / "n18.pvc"
     path.write_text(pv.serialize_instance(pv.generate_random(18, 27, 3, 0, cfg)), encoding="utf-8")
@@ -499,7 +500,7 @@ def test_exact_byte_identical_and_pinned(tmp_path):
     lines = first.stdout.decode().splitlines()
     assert "optimum: 6" in lines
     assert "chosen: 0,1,3,7,8,11,15,16,17" in lines
-    assert "nodes: 159" in lines
+    assert "nodes: 99" in lines
 
 
 def test_module_help_runs():

@@ -1,6 +1,8 @@
 """Greedy baseline: determinism, feasibility, and the stated selection rule."""
 
 import pvcover as pv
+from pvcover.errors import SolverError
+from pvcover.instance import CoverCounts
 from conftest import random_instances
 
 
@@ -59,3 +61,61 @@ def test_greedy_always_feasible_and_never_beats_exact():
 def test_greedy_deterministic():
     inst = random_instances(1, n=10, m=16, r=4, seed0=3)[0]
     assert pv.greedy_solve(inst) == pv.greedy_solve(inst)
+
+
+def _reference_greedy(inst):
+    """greedy_solve as it stood on CoverCounts: each step recounts every
+    candidate's gain from the edges at it with no chosen end."""
+    costs = inst.costs
+    inc = inst.incidence
+    targets = [g.target for g in inst.groups]
+    counts = CoverCounts(inst, 1)
+    covered = counts.weights
+    chosen: set[int] = set()
+
+    while any(w < t for w, t in zip(covered, targets)):
+        best_v = -1
+        best_gain = 0
+        for v in range(inst.n):
+            if v in chosen:
+                continue
+            moved: dict[int, int] = {}
+            for eid in inc.vertex_edges[v]:
+                e = inst.edges[eid]
+                if e.u not in chosen and e.v not in chosen:
+                    for gi in inc.edge_groups[eid]:
+                        moved[gi] = moved.get(gi, 0) + e.weight
+            g = sum(min(w, max(0, targets[gi] - covered[gi])) for gi, w in moved.items())
+            if g <= 0:
+                continue
+            if best_v < 0 or g * costs[best_v] > best_gain * costs[v]:
+                best_v, best_gain = v, g
+        if best_v < 0:
+            raise SolverError("greedy found no vertex with positive gain on an unmet group")
+        chosen.add(best_v)
+        counts.mark(best_v)
+
+    picked = tuple(sorted(chosen))
+    return pv.VertexSelection(
+        chosen=picked, cost=sum(costs[v] for v in picked), covered=tuple(covered)
+    )
+
+
+def test_greedy_matches_cover_counts_reference():
+    """The open-weight table picks exactly what per-candidate recounting
+    picked: free vertices, wide costs, weights 1..4, overlapping groups,
+    r 1..6 and dense families with parallel edges."""
+    parallel = 0
+    for s in range(320):
+        n = 6 + s % 11
+        r = 1 + s % 6
+        dense = s % 5 == 0  # few vertices, many edges: parallel edges appear
+        cfg = pv.GeneratorConfig(
+            cost_range=((0, 3), (1, 10))[s % 2], weight_range=(1, 1 + s // 2 % 4)
+        )
+        inst = pv.generate_random(n, 3 * n if dense else max(r, round(1.5 * n)), r, s, cfg)
+        if s % 3 == 1:
+            inst = pv.with_overlapping_groups(inst, 0.3, seed=s + 104729)
+        parallel += len({(e.u, e.v) for e in inst.edges}) < inst.m
+        assert pv.greedy_solve(inst) == _reference_greedy(inst), s
+    assert parallel >= 20

@@ -222,7 +222,8 @@ def test_incidence_matches_brute_force_rebuild():
 
 def test_cover_counts_follow_random_mark_unmark_sequences():
     """After every step both counters equal whole-set references, and delta
-    predicted the step exactly; groups overlap and edges run parallel."""
+    predicted each unmark step exactly; groups overlap and edges run
+    parallel."""
     rng = random.Random(7)
     parallel = 0
     for inst in random_instances(6, 7, 16, 3, weight_max=3, overlap=0.3):
@@ -233,18 +234,17 @@ def test_cover_counts_follow_random_mark_unmark_sequences():
             for _ in range(60):
                 v = rng.randrange(inst.n)
                 mark = v not in marked
-                before = list(counts.weights)
-                moved = counts.delta(v, mark=mark)
                 if mark:
                     counts.mark(v)
                     marked.add(v)
                 else:
+                    before = list(counts.weights)
+                    moved = counts.delta(v)
                     counts.unmark(v)
                     marked.remove(v)
-                sign = 1 if mark else -1
-                assert [w - b for w, b in zip(counts.weights, before)] == [
-                    sign * moved.get(gi, 0) for gi in range(inst.r)
-                ]
+                    assert [b - w for w, b in zip(counts.weights, before)] == [
+                        moved.get(gi, 0) for gi in range(inst.r)
+                    ]
                 if need == 1:
                     picked = np.zeros(inst.n, dtype=bool)
                     picked[list(marked)] = True
