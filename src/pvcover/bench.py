@@ -70,6 +70,11 @@ class BenchConfig:
         for name, (lo, hi) in (("n", self.n_range), ("m", self.m_range), ("r", self.r_range)):
             if lo > hi:
                 raise InputError(f"empty {name} range: min {lo} is above max {hi}")
+        # generate_random's floors, checked here so no seed reaches them
+        if self.n_range[0] < 2:
+            raise InputError(f"n min must be at least 2 to place an edge, got {self.n_range[0]}")
+        if self.r_range[0] < 1:
+            raise InputError(f"r min must be at least 1, got {self.r_range[0]}")
 
 
 @dataclass

@@ -14,6 +14,11 @@ cover rows, they pin the strengthened value at or above the natural one.
 The strengthened loop appends one row per solve: the first violated cover
 row by group index, else the capped row of the group whose demand is
 relatively furthest from met (the deepest capped cut).
+
+Both families come from one member walk, _split(inst, group, y, split): it
+removes the edges with y_u + y_v >= split and keeps the rest.  A cover row
+passes the suppressed set's 0/1 indicator with split 1 (an edge touches the
+set); a capped row passes x with split 1 - tol (the edge's cap binds).
 """
 
 from __future__ import annotations
@@ -69,25 +74,29 @@ class KnapsackCoverConstraint(_CoverRow):
     rhs: int
 
 
-def _cover_row(inst, group, covered):
-    """Demand left and kept members of a group's cover row, or None when no
-    demand is left.
+def _split(inst, group, y, split):
+    """Demand left, kept members and their supply at y for one group, or None
+    when no demand is left.
 
-    covered(u, v) marks a member edge as already covered: its weight comes
-    off the target.  Every other ("kept") member is listed as its
-    (edge id, u, v, weight) entry of inst.group_members, in membership order.
+    A member edge (u, v) with y_u + y_v >= split is removed: its weight comes
+    off the group's target.  Every other ("kept") member is listed as its
+    (edge id, u, v, weight) entry of inst.group_members, in membership
+    order, and supplies w * (y_u + y_v), summed in that order.
     """
     left = inst.groups[group].target
     kept = []
+    supply = 0.0
     for member in inst.group_members(group):
         _, u, v, w = member
-        if not covered(u, v):
-            kept.append(member)
-        else:
+        both = y[u] + y[v]
+        if both >= split:
             left -= w
             if left <= 0:
                 return None
-    return (left, kept) if left > 0 else None
+        else:
+            kept.append(member)
+            supply += w * both
+    return (left, kept, supply) if left > 0 else None
 
 
 def _coefficients(left, kept, truncate=True):
@@ -100,25 +109,32 @@ def _coefficients(left, kept, truncate=True):
     return tuple((v, min(left, w) if truncate else w) for v, w in sorted(acc.items()))
 
 
-def _touches(suppressed):
-    """covered(u, v) for _cover_row: an edge with an end in the suppressed set."""
-    picked = frozenset(suppressed)
-    return lambda u, v: u in picked or v in picked
+def _kc_rows(inst, groups, picked):
+    """Cover rows of groups, in order, with the sorted vertex set picked
+    suppressed; a group left no demand has no row and is skipped.
 
-
-def _kc_row(inst, group, picked, covered):
-    """Cover row of the group with the sorted vertex set picked suppressed, or
-    None when no demand is left; covered is _touches(picked)."""
-    walk = _cover_row(inst, group, covered)
-    if walk is None:
-        return None
-    return KnapsackCoverConstraint(group, picked, _coefficients(*walk), walk[0])
+    The walk gets picked's 0/1 indicator with split 1, so it removes exactly
+    the members with an end in picked; a kept member supplies 0.  The
+    indicator is a float tuple, as the LP's x is, so the walk's indexing and
+    arithmetic see one type.
+    """
+    indicator = [0.0] * inst.n
+    for v in picked:
+        indicator[v] = 1.0
+    y = tuple(indicator)
+    for gi in groups:
+        walk = _split(inst, gi, y, 1.0)
+        if walk is not None:
+            left, kept, _ = walk
+            yield KnapsackCoverConstraint(gi, picked, _coefficients(left, kept), left)
 
 
 def build_kc_constraint(inst, group, suppressed):
     """Truncated cover row for (group, suppressed), or None when satisfied already."""
     picked = tuple(sorted(set(suppressed)))
-    return _kc_row(inst, group, picked, _touches(picked))
+    if picked and not (0 <= picked[0] and picked[-1] < inst.n):
+        raise InputError(f"suppressed vertex ids must lie in 0..{inst.n - 1}, got {picked}")
+    return next(_kc_rows(inst, (group,), picked), None)
 
 
 @dataclass(frozen=True)
@@ -140,42 +156,17 @@ class CappedCoverageCut(_CoverRow):
     rhs: int
 
 
-def _capped_supply(inst, group, x, tol):
-    """Demand left, kept members and their supply at x for the group's capped
-    row, or None when the capped edges alone meet the demand.
-
-    The split treats an edge as capped once x_u + x_v >= 1 - tol, so a point
-    that wobbles by round-off around a sum of 1 picks the same row.  One
-    walk makes the split, takes each capped edge's weight off the demand
-    and sums the supply w_e * (x_u + x_v) over the kept members in
-    membership order.
-    """
-    split = 1.0 - tol
-    left = inst.groups[group].target
-    kept = []
-    supply = 0.0
-    for member in inst.group_members(group):
-        _, u, v, w = member
-        both = x[u] + x[v]
-        if both >= split:
-            left -= w
-            if left <= 0:
-                return None
-        else:
-            kept.append(member)
-            supply += w * both
-    return (left, kept, supply) if left > 0 else None
-
-
 def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS, truncate=True):
     """Capped-demand row for the group, induced by and violated at x, or None.
 
-    The row is built from the edges _capped_supply keeps, and it falls short
-    at x by more than tol whenever it is returned.  A None return certifies
-    the group's capped demand within tol: sum of w_e * min(1, x_u + x_v) >=
-    target - tol * (1 + W), W being the total weight of the capped edges.
+    The row is built from the edges _split(inst, group, x, 1 - tol) keeps,
+    so an edge whose x_u + x_v wobbles by round-off around 1 is capped.  The
+    row falls short at x by more than tol whenever it is returned.  A None
+    return certifies the group's capped demand within tol: sum of
+    w_e * min(1, x_u + x_v) >= target - tol * (1 + W), W being the total
+    weight of the capped edges.
     """
-    walk = _capped_supply(inst, group, x, tol)
+    walk = _split(inst, group, x, 1.0 - tol)
     if walk is None:
         return None
     left, kept, supply = walk
@@ -198,7 +189,7 @@ def _deepest_capped_cut(inst, x, tol):
     """
     best, depth = None, 0.0
     for gi in range(inst.r):
-        walk = _capped_supply(inst, gi, x, tol)
+        walk = _split(inst, gi, x, 1.0 - tol)
         if walk is not None:
             left, _, supply = walk
             shortfall = (left - supply) / left
@@ -217,41 +208,17 @@ def threshold_rows(inst, x):
 
     Groups the threshold set already satisfies have no row and are skipped.
     """
-    picked = threshold_set(x)
-    covered = _touches(picked)
-    for gi in range(inst.r):
-        row = _kc_row(inst, gi, picked, covered)
-        if row is not None:
-            yield row
+    return _kc_rows(inst, range(inst.r), threshold_set(x))
 
 
 def separate(inst, x, tol: float = EPS_FEAS) -> KnapsackCoverConstraint | None:
     """The first threshold-induced cover row violated at x, by group index, or None.
 
     Only the suppressed set induced by the rounding threshold is ever
-    examined, and the walk stops at the first violated row.  Each group is
-    walked once: its demand left and its kept members' weight per vertex
-    give the row's lhs at x, summed in vertex order as lhs_at sums it, and
-    only the violated row returned is built.
+    examined: the rows of threshold_rows are built in group order until one
+    fails satisfied_by(x, tol).
     """
-    picked = threshold_set(x)
-    suppressed = frozenset(picked)
-    for gi in range(inst.r):
-        left = inst.groups[gi].target
-        acc: dict[int, int] = {}
-        for _, u, v, w in inst.group_members(gi):
-            if u in suppressed or v in suppressed:
-                left -= w
-                if left <= 0:
-                    break
-            else:
-                acc[u] = acc.get(u, 0) + w
-                acc[v] = acc.get(v, 0) + w
-        if left <= 0:
-            continue
-        if not sum(min(left, a) * x[v] for v, a in sorted(acc.items())) >= left - tol:
-            return _kc_row(inst, gi, picked, _touches(picked))
-    return None
+    return next((row for row in threshold_rows(inst, x) if not row.satisfied_by(x, tol)), None)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 
 import pvcover as pv
 import pvcover.bench as bench
+import pvcover.cli as cli
 
 
 SMALL = bench.BenchConfig(
@@ -101,6 +102,22 @@ def test_bench_respects_overlap():
 def test_bench_config_rejects_bad_values(field, value):
     with pytest.raises(pv.InputError):
         bench.BenchConfig(**{"count": 1, "seed": 1, field: value})
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bench_rejects_n_below_2_and_r_below_1_at_every_seed(capsys, seed):
+    """Such a range used to fail only when some row drew the bad value, so
+    the exit code hung on the seed; now no row runs."""
+    for field, value, flags in (
+        ("n_range", (1, 4), ["--n-min", "1", "--n-max", "4"]),
+        ("r_range", (0, 3), ["--r-min", "0", "--r-max", "3"]),
+    ):
+        with pytest.raises(pv.InputError, match=f"{field[0]} min must be at least"):
+            bench.BenchConfig(count=3, seed=seed, trials=0, **{field: value})
+        argv = ["bench", "--count", "3", "--trials", "0", "--seed", str(seed), *flags]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {field[0]} min")
 
 
 def test_gap_rows_pinned_values():

@@ -207,6 +207,22 @@ def test_solve_cut_log_written(capsys, tmp_path):
     )
 
 
+def test_solve_cuts_count_the_logged_cover_rows_with_a_target_0_group(capsys, tmp_path):
+    """A target-0 group starts the loop with no row, so cuts: is not the
+    certificate's length less r: it counts the cover rows the loop appended."""
+    code, text, _ = run_cli(capsys, "generate", "random", "--n", "12", "--m", "18",
+                            "--r", "3", "--seed", "3", "--weight-max", "3")
+    assert code == 0 and "k 0 19\n" in text
+    inst_path = tmp_path / "zero.pvc"
+    inst_path.write_text(text.replace("k 0 19\n", "k 0 0\n"), encoding="utf-8")
+    log_path = tmp_path / "cuts.log"
+    code, out, _ = run_cli(capsys, "solve", str(inst_path), "--cut-log", str(log_path))
+    assert code == 0
+    log = log_path.read_text(encoding="utf-8")
+    assert log.count(" suppressed=") == 2
+    assert "cuts: 2" in out.splitlines()
+
+
 # ---------------------------------------------------------------- errors
 
 def test_missing_file_is_exit_2(capsys):

@@ -136,6 +136,13 @@ def test_build_kc_constraint_star_and_path(star5, path3):
     assert pv.build_kc_constraint(path3, 0, (1,)) is None
 
 
+def test_build_kc_constraint_rejects_ids_outside_the_vertices(star5):
+    """The walk reads an indicator list, where -1 would stand for vertex n - 1."""
+    for bad in (-1, star5.n):
+        with pytest.raises(pv.InputError, match="suppressed vertex ids"):
+            pv.build_kc_constraint(star5, 0, (1, bad))
+
+
 def test_build_kc_constraint_matches_primitive_recomputation():
     """The fused builder against residual()/wdeg() called one vertex at a time."""
     rng = np.random.default_rng(42)
@@ -462,13 +469,22 @@ def closure_separate(inst, x, tol=EPS_FEAS):
 
 
 def closure_capped_supply(inst, group, x, tol):
-    """_capped_supply as a member walk with a per-member closure, then a
+    """The capped split as a member walk with a per-member closure, then a
     second pass that sums the kept members' supply."""
     split = 1.0 - tol
-    walk = relaxation._cover_row(inst, group, lambda u, v: x[u] + x[v] >= split)
-    if walk is None:
+    capped = lambda u, v: x[u] + x[v] >= split
+    left = inst.groups[group].target
+    kept = []
+    for member in inst.group_members(group):
+        _, u, v, w = member
+        if not capped(u, v):
+            kept.append(member)
+        else:
+            left -= w
+            if left <= 0:
+                return None
+    if left <= 0:
         return None
-    left, kept = walk
     supply = 0.0
     for _, u, v, w in kept:
         supply += w * (x[u] + x[v])
@@ -493,11 +509,10 @@ def _tie_points(inst, rng, tol):
 
 
 def test_one_pass_walks_match_the_row_building_walks(monkeypatch):
-    """separate and _capped_supply against the walks they replaced, which
-    build every group's row or walk it through a closure: the same row, or
-    None, and the same demand left, kept members and supply, float for
-    float, at random points, on both ties and at the LP points of both
-    relaxations."""
+    """separate against every threshold row it builds, and the capped
+    _split against a walk through a closure: the same row, or None, and the
+    same demand left, kept members and supply, float for float, at random
+    points, on both ties and at the LP points of both relaxations."""
     rng = np.random.default_rng(31)
     insts = random_instances(6, n=9, m=16, r=3, weight_max=3)
     insts += random_instances(6, n=8, m=14, r=3, weight_max=4, overlap=0.3)
@@ -512,7 +527,7 @@ def test_one_pass_walks_match_the_row_building_walks(monkeypatch):
                 rows += got is not None
                 none += got is None
                 for gi in range(inst.r):
-                    walk = relaxation._capped_supply(inst, gi, x, tol)
+                    walk = relaxation._split(inst, gi, x, 1 - tol)
                     assert walk == closure_capped_supply(inst, gi, x, tol)
                     capped += walk is not None
         below = [(rng.random(inst.n) * ROUNDING_THRESHOLD * 0.99).tolist() for _ in range(8)]
