@@ -8,23 +8,24 @@ incumbent.  Two bounds price that: the cheapest vertex still to decide (it
 must take at least one more), and per unmet group the fractional knapsack
 that buys the group's deficit from the undecided vertices, each supplying
 its weighted degree in the group, cheapest per unit first (the LP of the
-group's knapsack-cover row).  A group whose remaining reachable weight drops
-below its target prunes the subtree too.  Every prune is strict and every
+group's knapsack-cover row).  A group whose reachable weight, the weight of
+its member edges with an end not yet excluded, drops below its target
+prunes the subtree too.  Every prune is strict and every
 bound is compared in integers, so each subtree that could hold an
 equal-cost optimum is still searched, and among equal-cost optima the
 lexicographically smallest chosen set (as a sorted tuple) wins, which keeps
 fixtures reproducible.
 
-Two CoverCounts follow the path: one marks the included vertices (need 1:
-the weight they cover), the other the excluded ones (need 2: the weight
-of edges with both ends excluded, which no completion can cover).
+Two CoverCounts follow the path: one marks the included vertices (the
+weight they cover), the other the vertices not yet excluded (the weight
+some completion can still cover).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from operator import ge, le
+from operator import ge
 
 from .errors import InputError
 from .greedy import greedy_solve
@@ -60,13 +61,13 @@ def _search(inst: Instance, greedy: VertexSelection) -> ExactResult:
     costs = inst.costs
     order = sorted(range(n), key=lambda v: (-costs[v], v))
     targets = [g.target for g in inst.groups]
-    # weight each group can lose and still reach its target
-    slack = [inst.group_weight(gi) - targets[gi] for gi in range(inst.r)]
     pos = {v: i for i, v in enumerate(order)}
     items = [_knapsack_items(inst, gi, pos) for gi in range(inst.r)]
 
-    covered = CoverCounts(inst, 1)  # marks the included vertices
-    lost = CoverCounts(inst, 2)  # marks the excluded vertices
+    covered = CoverCounts(inst)  # marks the included vertices
+    reach = CoverCounts(inst)  # marks the vertices not yet excluded
+    for v in range(n):
+        reach.mark(v)
 
     best = [greedy.cost, greedy.chosen]  # cost, sorted chosen tuple
     cheapest = costs[order[-1]]  # least any vertex still to decide can add
@@ -94,7 +95,7 @@ def _search(inst: Instance, greedy: VertexSelection) -> ExactResult:
         nodes += 1
         idx = len(path)
         room = best[0] - cur_cost
-        descend = room >= 0 and all(map(le, lost.weights, slack))
+        descend = room >= 0 and all(map(ge, reach.weights, targets))
         if descend and all(map(ge, covered.weights, targets)):
             settle(cur_cost, [order[i] for i in range(idx) if path[i]], idx)
             descend = False
@@ -112,14 +113,14 @@ def _search(inst: Instance, greedy: VertexSelection) -> ExactResult:
                 continue
         # backtrack to the deepest include decision and flip it to exclude
         while path and not path[-1]:
-            lost.unmark(order[len(path) - 1])
+            reach.mark(order[len(path) - 1])
             path.pop()
         if not path:
             break
         v = order[len(path) - 1]
         covered.unmark(v)
         cur_cost -= costs[v]
-        lost.mark(v)
+        reach.unmark(v)
         path[-1] = False
 
     return ExactResult(cost=best[0], chosen=best[1], nodes=nodes)

@@ -2,8 +2,10 @@
 
 It also owns the coverage rule: a group counts a member edge's weight once
 either end is picked.  coverage and covered_weights evaluate it for whole
-vertex sets; CoverCounts keeps it up to date one vertex at a time for the
-branch and bound and pruning loops.
+vertex sets; CoverCounts keeps it up to date one vertex at a time.  Branch
+and bound marks the included vertices with one counter and the vertices
+not yet excluded with another (the weight still reachable); pruning marks
+the kept set.
 """
 
 from __future__ import annotations
@@ -127,13 +129,6 @@ class Instance:
     @property
     def total_cost(self) -> int:
         return sum(self.costs)
-
-    def group_weight(self, gi: int) -> int:
-        return sum(self.edges[eid].weight for eid in self.groups[gi].edges)
-
-    def group_members(self, gi: int) -> tuple[tuple[int, int, int, int], ...]:
-        """Group gi's member edges as (edge id, u, v, weight), in membership order."""
-        return self.incidence.group_members[gi]
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -490,52 +485,39 @@ def is_feasible(inst: Instance, chosen) -> bool:
 
 
 class CoverCounts:
-    """Coverage of a marked vertex set, kept up to date one vertex at a time.
+    """Covered weight of a marked vertex set, kept up to date one vertex at a time.
 
-    It counts the marked ends of each edge; weights[g] is the weight of
-    group g's member edges with at least `need` marked ends: with need 1 that
-    is the covered weight (coverage of the marked set), with need 2 the
-    weight no vertex outside the marked set can reach.  mark and unmark
-    expect v unmarked and marked respectively; each walks v's edges once.
+    weights[g] is the weight of group g's member edges with at least one
+    marked end, so it equals coverage of the marked set.  It counts the
+    marked ends of each edge; mark and unmark expect v unmarked and marked
+    respectively, and each walks v's edges once.
     """
 
-    def __init__(self, inst: Instance, need: int):
+    def __init__(self, inst: Instance):
         inc = inst.incidence
         self._vertex_edges = inc.vertex_edges
         self._edge_groups = inc.edge_groups
         self._weight = [e.weight for e in inst.edges]
-        self._need = need
         self._ends = [0] * inst.m
         self.weights = [0] * inst.r
 
-    def delta(self, v: int) -> dict[int, int]:
-        """Per-group weight that unmarking the marked vertex v would remove."""
-        ends, weight, edge_groups, need = self._ends, self._weight, self._edge_groups, self._need
-        moved: dict[int, int] = {}
-        for eid in self._vertex_edges[v]:
-            # the edges at v with exactly `need` marked ends drop below it
-            if ends[eid] == need:
-                for gi in edge_groups[eid]:
-                    moved[gi] = moved.get(gi, 0) + weight[eid]
-        return moved
-
     def mark(self, v: int) -> None:
-        ends, weights, weight, need = self._ends, self.weights, self._weight, self._need
+        ends, weights, weight = self._ends, self.weights, self._weight
         edge_groups = self._edge_groups
         for eid in self._vertex_edges[v]:
             ends[eid] += 1
-            if ends[eid] == need:
+            if ends[eid] == 1:
                 for gi in edge_groups[eid]:
                     weights[gi] += weight[eid]
 
     def unmark(self, v: int) -> None:
-        ends, weights, weight, need = self._ends, self.weights, self._weight, self._need
+        ends, weights, weight = self._ends, self.weights, self._weight
         edge_groups = self._edge_groups
         for eid in self._vertex_edges[v]:
-            if ends[eid] == need:
+            ends[eid] -= 1
+            if ends[eid] == 0:
                 for gi in edge_groups[eid]:
                     weights[gi] -= weight[eid]
-            ends[eid] -= 1
 
 
 # ----------------------------------------------------------------------

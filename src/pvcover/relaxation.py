@@ -80,13 +80,13 @@ def _split(inst, group, y, split):
 
     A member edge (u, v) with y_u + y_v >= split is removed: its weight comes
     off the group's target.  Every other ("kept") member is listed as its
-    (edge id, u, v, weight) entry of inst.group_members, in membership
-    order, and supplies w * (y_u + y_v), summed in that order.
+    (edge id, u, v, weight) entry of inst.incidence.group_members, in
+    membership order, and supplies w * (y_u + y_v), summed in that order.
     """
     left = inst.groups[group].target
     kept = []
     supply = 0.0
-    for member in inst.group_members(group):
+    for member in inst.incidence.group_members[group]:
         _, u, v, w = member
         both = y[u] + y[v]
         if both >= split:

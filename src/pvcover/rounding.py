@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
+from operator import ge
 
 import numpy as np
 
@@ -230,18 +231,21 @@ def precondition_margins(inst: Instance, x) -> tuple[tuple[int, float], ...]:
 def _prune(inst, union: VertexSelection) -> tuple[int, ...]:
     """Drop redundant vertices of a feasible union, most expensive first, lower id on ties.
 
-    One CoverCounts holds the kept set, so a drop is tested in O(deg v):
-    dropping v loses the member edges at v whose other end is not kept.
+    One CoverCounts holds the kept set.  Each vertex in turn is unmarked and
+    stays dropped if every group still meets its target, else it is marked
+    again; each step walks v's edges and compares the r group weights.
     """
-    counts = CoverCounts(inst, 1)
+    counts = CoverCounts(inst)
     for v in union.chosen:
         counts.mark(v)
+    targets = [g.target for g in inst.groups]
     kept = set(union.chosen)
     for v in sorted(union.chosen, key=lambda v: (-inst.costs[v], v)):
-        lost = counts.delta(v)
-        if all(counts.weights[gi] - w >= inst.groups[gi].target for gi, w in lost.items()):
+        counts.unmark(v)
+        if all(map(ge, counts.weights, targets)):
             kept.remove(v)
-            counts.unmark(v)
+        else:
+            counts.mark(v)
     return tuple(sorted(kept))
 
 

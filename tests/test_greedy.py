@@ -69,7 +69,7 @@ def _reference_greedy(inst):
     costs = inst.costs
     inc = inst.incidence
     targets = [g.target for g in inst.groups]
-    counts = CoverCounts(inst, 1)
+    counts = CoverCounts(inst)
     covered = counts.weights
     chosen: set[int] = set()
 

@@ -19,7 +19,7 @@ def test_parse_basic_fields(path3):
     assert path3.groups[0].edges == (0, 1)
     assert path3.groups[0].target == 2
     assert path3.total_cost == 3
-    assert path3.group_weight(0) == 2
+    assert sum(path3.edges[eid].weight for eid in path3.groups[0].edges) == 2
 
 
 def test_parse_accepts_comments_blank_lines_and_any_record_order():
@@ -169,7 +169,7 @@ def test_generate_random_respects_invariants_and_is_reproducible():
     assert a.n == 10 and a.m == 15 and a.r == 4
     for gi, g in enumerate(a.groups):
         assert g.edges  # generator never leaves a group empty
-        assert 1 <= g.target <= a.group_weight(gi)
+        assert 1 <= g.target <= sum(a.edges[eid].weight for eid in g.edges)
     assert pv.generate_random(10, 15, 4, seed=8) != a
 
 
@@ -208,8 +208,8 @@ def test_incidence_matches_brute_force_rebuild():
         for gi, g in enumerate(inst.groups):
             edges = [inst.edges[eid] for eid in g.edges]
             want = tuple((eid, e.u, e.v, e.weight) for eid, e in zip(g.edges, edges))
-            assert inst.group_members(gi) == want
-            assert all(type(i) is int for member in inst.group_members(gi) for i in member)
+            assert inc.group_members[gi] == want
+            assert all(type(i) is int for member in inc.group_members[gi] for i in member)
         assert len(inc.group_arrays) == inst.r
         for g, arrays in zip(inst.groups, inc.group_arrays):
             members = [inst.edges[eid] for eid in g.edges]
@@ -221,41 +221,25 @@ def test_incidence_matches_brute_force_rebuild():
 
 
 def test_cover_counts_follow_random_mark_unmark_sequences():
-    """After every step both counters equal whole-set references, and delta
-    predicted each unmark step exactly; groups overlap and edges run
-    parallel."""
+    """After every step the counter equals the whole-set covered weights;
+    groups overlap and edges run parallel."""
     rng = random.Random(7)
     parallel = 0
     for inst in random_instances(6, 7, 16, 3, weight_max=3, overlap=0.3):
         parallel += len({(e.u, e.v) for e in inst.edges}) < inst.m
-        for need in (1, 2):
-            counts = CoverCounts(inst, need)
-            marked = set()
-            for _ in range(60):
-                v = rng.randrange(inst.n)
-                mark = v not in marked
-                if mark:
-                    counts.mark(v)
-                    marked.add(v)
-                else:
-                    before = list(counts.weights)
-                    moved = counts.delta(v)
-                    counts.unmark(v)
-                    marked.remove(v)
-                    assert [b - w for w, b in zip(counts.weights, before)] == [
-                        moved.get(gi, 0) for gi in range(inst.r)
-                    ]
-                if need == 1:
-                    picked = np.zeros(inst.n, dtype=bool)
-                    picked[list(marked)] = True
-                    want = covered_weights(inst, picked).tolist()
-                else:
-                    want = [
-                        sum(inst.edges[eid].weight for eid in g.edges
-                            if {inst.edges[eid].u, inst.edges[eid].v} <= marked)
-                        for g in inst.groups
-                    ]
-                assert counts.weights == want
+        counts = CoverCounts(inst)
+        marked = set()
+        for _ in range(120):
+            v = rng.randrange(inst.n)
+            if v not in marked:
+                counts.mark(v)
+                marked.add(v)
+            else:
+                counts.unmark(v)
+                marked.remove(v)
+            picked = np.zeros(inst.n, dtype=bool)
+            picked[list(marked)] = True
+            assert counts.weights == covered_weights(inst, picked).tolist()
     assert parallel
 
 

@@ -463,9 +463,29 @@ def test_row_builders_match_the_per_edge_reference(monkeypatch):
     assert rows  # some points are cut, so whole rows are compared
 
 
-def closure_separate(inst, x, tol=EPS_FEAS):
-    """separate as the first unsatisfied row threshold_rows builds."""
-    return next((row for row in relaxation.threshold_rows(inst, x) if not row.satisfied_by(x, tol)), None)
+def edge_sum_separate(inst, x, tol=EPS_FEAS):
+    """separate summed straight from inst.edges: per group, in order, the
+    demand the threshold set leaves and each outside vertex's weight at the
+    untouched members, capped at that demand; the first group whose lhs at x
+    falls below demand - tol gives the row."""
+    picked = tuple(v for v, xv in enumerate(x) if xv >= ROUNDING_THRESHOLD - EPS_FEAS)
+    inside = set(picked)
+    for gi, g in enumerate(inst.groups):
+        left = g.target
+        deg = {}
+        for eid in g.edges:
+            e = inst.edges[eid]
+            if e.u in inside or e.v in inside:
+                left -= e.weight
+            else:
+                deg[e.u] = deg.get(e.u, 0) + e.weight
+                deg[e.v] = deg.get(e.v, 0) + e.weight
+        if left <= 0:
+            continue
+        coefficients = tuple((v, min(left, d)) for v, d in sorted(deg.items()))
+        if sum(a * x[v] for v, a in coefficients) < left - tol:
+            return relaxation.KnapsackCoverConstraint(gi, picked, coefficients, left)
+    return None
 
 
 def closure_capped_supply(inst, group, x, tol):
@@ -475,7 +495,7 @@ def closure_capped_supply(inst, group, x, tol):
     capped = lambda u, v: x[u] + x[v] >= split
     left = inst.groups[group].target
     kept = []
-    for member in inst.group_members(group):
+    for member in inst.incidence.group_members[group]:
         _, u, v, w = member
         if not capped(u, v):
             kept.append(member)
@@ -509,7 +529,7 @@ def _tie_points(inst, rng, tol):
 
 
 def test_one_pass_walks_match_the_row_building_walks(monkeypatch):
-    """separate against every threshold row it builds, and the capped
+    """separate against a reference summed from the edges, and the capped
     _split against a walk through a closure: the same row, or None, and the
     same demand left, kept members and supply, float for float, at random
     points, on both ties and at the LP points of both relaxations."""
@@ -523,7 +543,7 @@ def test_one_pass_walks_match_the_row_building_walks(monkeypatch):
         for tol in (EPS_FEAS, 10 * EPS_FEAS):
             for x in points + list(_tie_points(inst, rng, tol)):
                 got = pv.separate(inst, x, tol)
-                assert got == closure_separate(inst, x, tol)
+                assert got == edge_sum_separate(inst, x, tol)
                 rows += got is not None
                 none += got is None
                 for gi in range(inst.r):
@@ -539,7 +559,7 @@ def test_one_pass_walks_match_the_row_building_walks(monkeypatch):
                 if row.rhs / 2 <= lhs < row.rhs:
                     tol = row.rhs - lhs
                     assert row.rhs - tol == lhs
-                    assert pv.separate(inst, x, tol) == closure_separate(inst, x, tol)
+                    assert pv.separate(inst, x, tol) == edge_sum_separate(inst, x, tol)
                     ties += 1
     assert rows >= 50 and none >= 50 and capped >= 200 and ties >= 20
 
@@ -558,7 +578,7 @@ def test_row_builders_keep_exact_python_ints_near_2_61():
         + f"k 0 {3 * big - 20}\nk 1 {2 * big + 1}\nk 2 0\n"
     )
     inst = pv.parse_instance(text)
-    assert all(inst.group_weight(gi) < 2**63 for gi in range(inst.r))
+    assert all(sum(inst.edges[eid].weight for eid in g.edges) < 2**63 for g in inst.groups)
     rng = np.random.default_rng(3)
     points = [rng.random(inst.n).tolist() for _ in range(30)] + [[0.0] * inst.n]
     built = []

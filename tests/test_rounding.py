@@ -271,6 +271,42 @@ def test_solve_rounded_prune_keeps_feasibility():
     assert set(rep.pruned_chosen) <= set(sel.chosen)
 
 
+def _reverse_delete(inst, chosen, tie=1):
+    """Reference pruning: most expensive first, ties by id (lower first when
+    tie is 1), dropping each vertex whose removal keeps the set feasible."""
+    kept = set(chosen)
+    for v in sorted(chosen, key=lambda v: (-inst.costs[v], tie * v)):
+        if pv.is_feasible(inst, kept - {v}):
+            kept.remove(v)
+    return tuple(sorted(kept))
+
+
+def test_prune_matches_reverse_delete_reference():
+    """_prune keeps what a whole-set reverse delete keeps, on random feasible
+    unions with zero and tied costs and overlapping groups; some unions keep
+    a different set when ties go to the higher id, so the tie rule is pinned."""
+    rng = np.random.default_rng(5)
+    cfg = pv.GeneratorConfig(cost_range=(0, 3), weight_range=(1, 4))
+    unions = tie_sensitive = 0
+    for seed in range(40):
+        inst = pv.generate_random(10, 18, 3, seed, cfg)
+        if seed % 2:
+            inst = pv.with_overlapping_groups(inst, 0.4, seed=seed + 1)
+        for _ in range(5):
+            chosen = {v for v in range(inst.n) if rng.random() < 0.5}
+            for v in rng.permutation(inst.n).tolist():
+                if pv.is_feasible(inst, chosen):
+                    break
+                chosen.add(v)
+            union = pv.VertexSelection.from_set(inst, chosen)
+            assert pv.rounding._prune(inst, union) == _reverse_delete(inst, union.chosen)
+            unions += 1
+            tie_sensitive += _reverse_delete(inst, union.chosen, -1) != _reverse_delete(
+                inst, union.chosen
+            )
+    assert unions == 200 and tie_sensitive >= 20
+
+
 def test_solve_rounded_reports_failure_after_restarts(star5, monkeypatch):
     frac = pv.solve_relaxation(star5)
     monkeypatch.setattr("pvcover.rounding.is_feasible", lambda *_: False)
