@@ -9,9 +9,6 @@ EPS_OPT = 1e-6
 # Vertices whose fractional value reaches the threshold are taken outright by
 # the rounding stage and form the suppressed set of the separated cover
 # inequality.  The two uses must agree, and the random pick probability is
-# scale * x, so scale must be the inverse of the threshold.
+# scale * x, so scale is the inverse of the threshold (exactly 6.0 in doubles).
 ROUNDING_THRESHOLD = 1.0 / 6.0
-ROUNDING_SCALE = 6.0
-
-if abs(ROUNDING_THRESHOLD * ROUNDING_SCALE - 1.0) > 1e-12:
-    raise AssertionError("rounding scale must be the inverse of the rounding threshold")
+ROUNDING_SCALE = 1.0 / ROUNDING_THRESHOLD

@@ -222,11 +222,26 @@ def _check_ids(found, count: int, what: str) -> None:
     )
 
 
-def _record_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+def _records(text: str | bytes, what: str):
+    """The first record of a text file and an iterator over the rest.
+
+    A record is (line number, tokens) for a line that is not blank once its
+    "#" comment is cut.  Bytes must be UTF-8; a file with no record is empty.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{what} file is not valid UTF-8: {exc}") from None
+    lines = (
+        (lineno, line.split())
+        for lineno, raw in enumerate(text.splitlines(), 1)
+        if (line := raw.split("#", 1)[0].strip())
+    )
+    first = next(lines, None)
+    if first is None:
+        raise InputError(f"empty {what} file")
+    return first, lines
 
 
 def parse_instance(text: str | bytes, strict_partition: bool = False) -> Instance:
@@ -235,19 +250,11 @@ def parse_instance(text: str | bytes, strict_partition: bool = False) -> Instanc
     Records: header "p pvc n m r", vertex lines "v id cost", edge lines
     "e id u v weight", membership lines "g gid eid..." (a group may span
     several), target lines "k gid target".  "#" starts a comment.  Raises
-    InputError with a line number on any malformed or incomplete input.
+    InputError on malformed or incomplete input: with the line number for a
+    bad or repeated record, and for the whole file when ids are missing or
+    out of range.  Time is linear in the file size.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"instance file is not valid UTF-8: {exc}") from None
-
-    lines = _record_lines(text)
-    try:
-        lineno, toks = next(lines)
-    except StopIteration:
-        raise InputError("empty instance file") from None
+    (lineno, toks), lines = _records(text, "instance")
     if len(toks) != 5 or toks[0] != "p" or toks[1] != "pvc":
         raise InputError(f"line {lineno}: expected header 'p pvc <n> <m> <r>'")
     n = _parse_count(toks[2], lineno, "vertex count")
@@ -256,7 +263,8 @@ def parse_instance(text: str | bytes, strict_partition: bool = False) -> Instanc
 
     costs: dict[int, int] = {}
     edges: dict[int, Edge] = {}
-    members: dict[int, list[int]] = {}
+    # each group's members as an insertion-ordered dict: O(1) repeat check
+    members: dict[int, dict[int, None]] = {}
     targets: dict[int, int] = {}
 
     for lineno, toks in lines:
@@ -283,12 +291,12 @@ def parse_instance(text: str | bytes, strict_partition: bool = False) -> Instanc
             if len(toks) < 3:
                 raise InputError(f"line {lineno}: membership record needs 'g <gid> <eid>...'")
             gid = _parse_gid(toks[1], lineno)
-            bucket = members.setdefault(gid, [])
+            bucket = members.setdefault(gid, {})
             for tok in toks[2:]:
                 eid = _parse_int(tok, lineno, "edge index")
                 if eid in bucket:
                     raise InputError(f"line {lineno}: duplicate edge {eid} in group {gid}")
-                bucket.append(eid)
+                bucket[eid] = None
         elif kind == "k":
             if len(toks) != 3:
                 raise InputError(f"line {lineno}: target record needs 'k <gid> <target>'")
@@ -303,17 +311,8 @@ def parse_instance(text: str | bytes, strict_partition: bool = False) -> Instanc
 
     _check_ids(costs, n, "vertex")
     _check_ids(edges, m, "edge")
-    for gid in sorted(members):
-        if not (0 <= gid < r):
-            raise InputError(f"membership for unknown group {gid} (r={r})")
-    for gid in sorted(targets):
-        if not (0 <= gid < r):
-            raise InputError(f"target for unknown group {gid} (r={r})")
-    for gid in range(r):
-        if gid not in members:
-            raise InputError(f"group {gid} has no membership record")
-        if gid not in targets:
-            raise InputError(f"group {gid} has no target record")
+    _check_ids(members, r, "group membership")
+    _check_ids(targets, r, "group target")
 
     inst = Instance(
         costs=tuple(costs[v] for v in range(n)),
@@ -371,16 +370,7 @@ class SetCoverInstance:
 
 def parse_set_cover(text: str | bytes) -> SetCoverInstance:
     """Parse 'p sc <elements> <sets>' followed by 's <sid> <cost> <elem>...' lines."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"set cover file is not valid UTF-8: {exc}") from None
-    lines = _record_lines(text)
-    try:
-        lineno, toks = next(lines)
-    except StopIteration:
-        raise InputError("empty set cover file") from None
+    (lineno, toks), lines = _records(text, "set cover")
     if len(toks) != 4 or toks[0] != "p" or toks[1] != "sc":
         raise InputError(f"line {lineno}: expected header 'p sc <elements> <sets>'")
     r = _parse_count(toks[2], lineno, "element count")

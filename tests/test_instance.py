@@ -1,6 +1,7 @@
 """Instance model: parsing, canonical serialization, generators, reductions."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -54,7 +55,10 @@ def test_parse_accepts_g_prefixed_group_ids():
         (lambda t: t.replace("e 1 1 2 1", "e 1 1 2 0"), "weight"),
         (lambda t: t.replace("e 1 1 2 1", "e 1 1 9 1"), "out of range"),
         (lambda t: t.replace("k 0 2", "k 0 3"), "target"),
-        (lambda t: t.replace("k 0 2\n", ""), "group 0"),
+        (lambda t: t.replace("k 0 2\n", ""), "missing [0]"),
+        (lambda t: t.replace("g 0 0 1\n", ""), "missing [0]"),
+        (lambda t: t + "g 1 0\n", "extra [1]"),
+        (lambda t: t + "k 1 1\n", "extra [1]"),
         (lambda t: t.replace("v 2 1\n", ""), "missing [2]"),
         (lambda t: t + "x 1 2\n", "line 9"),
         (lambda t: t.replace("g 0 0 1", "g 0 0 0 1"), "duplicate"),
@@ -64,6 +68,19 @@ def test_parse_rejects_malformed_input(mutation, needle):
     with pytest.raises(pv.InputError) as err:
         pv.parse_instance(mutation(PATH_TEXT))
     assert needle in str(err.value)
+
+
+def test_parse_is_linear_in_a_large_group():
+    """One group of 50,000 members parses in well under a quadratic scan's time."""
+    inst = pv.generate_star(50_000)
+    text = pv.serialize_instance(inst)
+    start = time.perf_counter()
+    again = pv.parse_instance(text)
+    assert time.perf_counter() - start < 3.0
+    assert again == inst
+    # a member repeated on a later line of the same group names that line
+    with pytest.raises(pv.InputError, match=r"line 9: duplicate edge 0 in group 0"):
+        pv.parse_instance(PATH_TEXT + "g 0 0\n")
 
 
 def test_parse_serialize_round_trip_is_identity():
