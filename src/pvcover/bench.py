@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, PvcoverError
-from .exact import _search, exact_solve
+from .exact import DEFAULT_LIMIT, _search, exact_solve
 from .greedy import greedy_solve
 from .instance import GeneratorConfig, generate_random, generate_star, with_overlapping_groups
 from .relaxation import solve_natural_lp, solve_relaxation
@@ -58,7 +58,6 @@ class BenchConfig:
     trials: int = 1000
     generator: GeneratorConfig = GeneratorConfig()
     overlap_extra: float = 0.0
-    exact_limit: int = 20
 
     def __post_init__(self):
         if self.count < 1:
@@ -150,7 +149,7 @@ def run_bench(cfg: BenchConfig) -> tuple[list[BenchRecord], dict]:
             rec.rounds = rep.rounds
             rec.restarts = rep.restarts
             greedy = _timed(rec.timings, "greedy", lambda: greedy_solve(inst))
-            if inst.n <= cfg.exact_limit:
+            if inst.n <= DEFAULT_LIMIT:
                 # the search starts from the greedy cover just computed
                 exact = _timed(rec.timings, "exact", lambda: _search(inst, greedy))
                 rec.exact_cost = exact.cost

@@ -73,9 +73,7 @@ def _cmd_solve(args) -> int:
     inst = _load(args)
     cut_log: list[str] = []
     timings = {}
-    frac = _timed(
-        timings, "relaxation", lambda: solve_relaxation(inst, mode=args.mode, cut_log=cut_log)
-    )
+    frac = _timed(timings, "relaxation", lambda: solve_relaxation(inst, cut_log=cut_log))
     sel, report = _timed(
         timings,
         "round",
@@ -85,12 +83,21 @@ def _cmd_solve(args) -> int:
     if args.cut_log:
         _emit("".join(line + "\n" for line in cut_log), args.cut_log)
     _print_instance_header(args, inst)
-    print(f"mode: {args.mode}")
-    if frac.cost_cap is not None:
-        print(f"cost_cap: {frac.cost_cap}")
     # cover rows the loop appended; capped rows steer it but are not counted
     print(f"cuts: {sum(' suppressed=' in line for line in cut_log)}")
-    print(report.to_text())
+    print(f"rounds: {report.rounds}")
+    print(f"restarts: {report.restarts}")
+    print(f"cost: {sel.cost}")
+    print(f"feasible: {str(report.feasible).lower()}")
+    print(f"lp_objective: {frac.objective:.9g}")
+    cost_over_lp = sel.cost / frac.objective if frac.objective > 0 else float("inf")
+    print(f"cost_over_lp: {cost_over_lp:.9g}")
+    print("covered: " + ",".join(str(w) for w in sel.covered))
+    print("targets: " + ",".join(str(g.target) for g in inst.groups))
+    print(f"seed: {args.seed}")
+    if report.pruned_chosen is not None:
+        print(f"pruned_cost: {report.pruned_cost}")
+        print("pruned_chosen: " + ",".join(str(v) for v in report.pruned_chosen))
     if args.timings:
         for stage, seconds in timings.items():
             print(f"time_{stage}: {seconds:.6f}")
@@ -173,7 +180,6 @@ def _cmd_bench(args) -> int:
         trials=args.trials,
         generator=GeneratorConfig(weight_range=(args.weight_min, args.weight_max)),
         overlap_extra=args.overlap_extra,
-        exact_limit=args.exact_limit,
     )
     records, footer = run_bench(cfg)
     _emit(format_csv(records, footer, include_timings=args.timings), args.out)
@@ -240,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="LP relaxation plus randomized rounding")
     _add_instance_arg(p)
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="rounding seed (64-bit)")
-    p.add_argument("--mode", choices=["direct", "delta"], default="direct")
     p.add_argument("--prune", action="store_true", help="also report a pruned solution")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.add_argument("--cut-log", default=None, help="write one line per generated cut")
@@ -306,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-min", type=int, default=1)
     p.add_argument("--weight-max", type=int, default=1)
     p.add_argument("--overlap-extra", type=_probability, default=0.0)
-    p.add_argument("--exact-limit", type=int, default=20)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)

@@ -65,39 +65,17 @@ class RoundingConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Everything the CLI and bench harness report about one rounded solve.
+    """What rounding decided in one solve; the CLI and the bench harness read it.
 
     Every field is deterministic for a fixed seed; callers time the solve.
     """
 
-    seed: int
     rounds: int
     restarts: int
     cost: int
     feasible: bool
-    lp_objective: float
-    cost_over_lp: float
-    covered: tuple[int, ...]
-    targets: tuple[int, ...]
     pruned_cost: int | None = None
     pruned_chosen: tuple[int, ...] | None = None
-
-    def to_text(self) -> str:
-        lines = [
-            f"rounds: {self.rounds}",
-            f"restarts: {self.restarts}",
-            f"cost: {self.cost}",
-            f"feasible: {str(self.feasible).lower()}",
-            f"lp_objective: {self.lp_objective:.9g}",
-            f"cost_over_lp: {self.cost_over_lp:.9g}",
-            "covered: " + ",".join(str(w) for w in self.covered),
-            "targets: " + ",".join(str(t) for t in self.targets),
-            f"seed: {self.seed}",
-        ]
-        if self.pruned_cost is not None:
-            lines.append(f"pruned_cost: {self.pruned_cost}")
-            lines.append("pruned_chosen: " + ",".join(str(v) for v in self.pruned_chosen))
-        return "\n".join(lines)
 
 
 def rounds_for(r: int) -> int:
@@ -293,15 +271,10 @@ def solve_rounded(
                 pruned_chosen = _prune(inst, union)
                 pruned_cost = sum(inst.costs[v] for v in pruned_chosen)
             report = SolveReport(
-                seed=cfg.seed,
                 rounds=rounds,
                 restarts=attempt,
                 cost=union.cost,
                 feasible=True,
-                lp_objective=frac.objective,
-                cost_over_lp=(union.cost / frac.objective) if frac.objective > 0 else float("inf"),
-                covered=union.covered,
-                targets=tuple(g.target for g in inst.groups),
                 pruned_cost=pruned_cost,
                 pruned_chosen=pruned_chosen,
             )

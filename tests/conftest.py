@@ -53,6 +53,22 @@ def random_instances(count, n, m, r, seed0=0, weight_max=1, overlap=0.0):
     return out
 
 
+def cube_set_cover_text(k):
+    """The set cover gap family over F_2^k, as a set cover file.
+
+    Element e and set s stand for the nonzero vectors x = e + 1 and
+    a = s + 1; set a covers {x : a.x odd}, and every set costs 1.  Each
+    element lies in half the sets, so the LP value is 2 - 2^(1-k), while a
+    cover needs k sets, the fewest whose vectors span F_2^k.
+    """
+    size = 2**k - 1
+    lines = [f"p sc {size} {size}"]
+    for s in range(size):
+        members = [e for e in range(size) if bin((s + 1) & (e + 1)).count("1") % 2]
+        lines.append(f"s {s} 1 " + " ".join(map(str, members)))
+    return "\n".join(lines) + "\n"
+
+
 def brute_force_optimum(inst):
     """Reference optimum by full subset enumeration; keeps the lexicographic
     tie rule explicit so the branch-and-bound tie-breaking is pinned too."""

@@ -270,7 +270,7 @@ def test_criterion_09_cli_determinism(tmp_path):
     )
     commands = [
         ["solve", str(star_path), "--seed", "0", "--prune"],
-        ["solve", str(rand_path), "--seed", "3", "--mode", "delta"],
+        ["solve", str(rand_path), "--seed", "3"],
         ["verify", str(rand_path), "--trials", "2000", "--seed", "1"],
         ["gap", "--degrees", "2,5,20"],
         ["generate", "random", "--n", "9", "--m", "12", "--r", "3",

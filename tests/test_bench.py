@@ -35,6 +35,18 @@ def test_run_bench_fills_records_and_footer():
     assert 0.0 <= footer["min_round_success"] <= 1.0
 
 
+def test_run_bench_runs_exact_up_to_its_default_limit():
+    # bench runs exact wherever exact itself would, up to exact.DEFAULT_LIMIT
+    cfg = bench.BenchConfig(count=2, seed=3, n_range=(22, 22), m_range=(30, 34), trials=0)
+    records, footer = bench.run_bench(cfg)
+    assert pv.DEFAULT_LIMIT >= 22
+    for rec in records:
+        assert rec.status == "ok" and rec.n == 22
+        assert rec.exact_cost is not None
+        assert rec.strengthened_lp <= rec.exact_cost + 1e-6 <= rec.rounded_cost + 1e-6
+    assert footer["mean_cost_over_exact"] >= 1.0
+
+
 def test_run_bench_is_deterministic():
     rec_a, foot_a = bench.run_bench(SMALL)
     rec_b, foot_b = bench.run_bench(SMALL)

@@ -12,7 +12,7 @@ import pvcover as pv
 import pvcover.cli as cli
 from pvcover.instance import parse_instance
 
-from conftest import LOPSIDED_EDGE_TEXT
+from conftest import LOPSIDED_EDGE_TEXT, cube_set_cover_text
 
 
 SET_COVER_TEXT = """\
@@ -45,39 +45,34 @@ def run_cli(capsys, *argv):
 
 # ---------------------------------------------------------------- solve
 
-def test_solve_output_shape(capsys, star_file):
+def test_solve_output_shape(capsys, star_file, star5):
     code, out, err = run_cli(capsys, "solve", star_file, "--seed", "7")
     assert code == 0 and err == ""
     lines = out.splitlines()
     assert lines[0] == f"instance: {star_file}"
     assert "n: 6" in lines and "m: 5" in lines and "r: 1" in lines
-    assert "mode: direct" in lines
     assert any(line.startswith("cuts: ") for line in lines)
     assert "feasible: true" in lines
     assert "seed: 7" in lines
-    assert not any(line.startswith("cost_cap:") for line in lines)
+    assert not any(line.startswith(("mode:", "cost_cap:")) for line in lines)
     assert not any(line.startswith("time_") for line in lines)
     chosen = [line for line in lines if line.startswith("chosen: ")]
     assert len(chosen) == 1
+    fields = dict(line.split(": ", 1) for line in lines)
+    cost = int(fields["cost"])
+    assert cost == sum(star5.costs[int(v)] for v in fields["chosen"].split(","))
+    assert float(fields["cost_over_lp"]) == pytest.approx(cost / float(fields["lp_objective"]))
 
 
-def test_solve_delta_reports_cap(capsys, edge_file, tmp_path):
-    code, out, _ = run_cli(capsys, "solve", edge_file, "--mode", "delta")
-    assert code == 0
-    assert "mode: delta" in out.splitlines()
-    assert "cost_cap: 3" in out.splitlines()
-    # delta mode prints direct mode's report, with its mode and one cost_cap line
-    inst = pv.generate_random(16, 26, 4, 5, pv.GeneratorConfig(weight_range=(1, 3)))
-    path = tmp_path / "random.pvc"
-    path.write_text(pv.serialize_instance(inst), encoding="utf-8")
-    code, direct, _ = run_cli(capsys, "solve", str(path), "--prune")
-    assert code == 0
-    code, delta, _ = run_cli(capsys, "solve", str(path), "--prune", "--mode", "delta")
-    assert code == 0
-    want = direct.splitlines()
-    at = want.index("mode: direct")
-    want[at:at + 1] = ["mode: delta", "cost_cap: 19"]  # direct value 18.857...
-    assert delta.splitlines() == want
+def test_solve_delta_reports_cap(capsys, edge_file):
+    # solve has no --mode; the cost cap is the library's
+    # solve_relaxation(inst, mode="delta").cost_cap
+    for mode in ("direct", "delta"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", edge_file, "--mode", mode])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--mode" in captured.err
 
 
 def test_solve_prune_and_timings_lines(capsys, star_file):
@@ -168,6 +163,7 @@ def test_bad_argument_values_are_exit_2(capsys, star_file):
         (["solve", star_file, "--rounds-constant", "4"], "--rounds-constant"),
         (["bench", "--count", "1", "--seed", "1", "--rounds-constant", "4"],
          "--rounds-constant"),
+        (["bench", "--count", "1", "--seed", "1", "--exact-limit", "20"], "--exact-limit"),
         (["generate", "random", "--n", "5", "--m", "6", "--r", "2", "--seed", "1",
           "--group-assignment", "round_robin"], "--group-assignment"),
     ]
@@ -353,6 +349,24 @@ def test_verify_output(capsys, star_file):
     assert float(worst.split()[1]) >= 5 / 8
 
 
+def test_verify_prints_a_margin_per_group_of_the_cube_reduction(capsys, tmp_path):
+    # on the F_2^4 gap family no vertex reaches the threshold, so every one
+    # of the 15 groups rests on the draws and prints its cover-row margin
+    sc = tmp_path / "cube4.sc"
+    sc.write_text(cube_set_cover_text(4), encoding="utf-8")
+    inst_path = tmp_path / "cube4.pvc"
+    assert cli.main(["generate", "setcover-reduce", str(sc), "--out", str(inst_path)]) == 0
+    code, out, err = run_cli(capsys, "verify", str(inst_path), "--trials", "2000")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "lp_objective: 1.875" in lines
+    margins = [line for line in lines if line.startswith("margin group ")]
+    assert [line.split(":")[0] for line in margins] == [f"margin group {g}" for g in range(15)]
+    assert all(float(line.split()[-1]) >= 1 - 1e-6 for line in margins)
+    worst = next(l for l in lines if l.startswith("min_frequency_plus_radius: "))
+    assert float(worst.split()[1]) >= 5 / 8
+
+
 def test_gap_table(capsys):
     code, out, _ = run_cli(capsys, "gap", "--degrees", "2,5")
     assert code == 0
@@ -446,6 +460,39 @@ def test_generate_setcover_reduce(capsys, tmp_path):
     assert inst.costs == (2, 3, 4) + (heavy,) * 4
 
 
+# ---------------------------------------------------------------- README
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks():
+    """The README's fenced blocks, each as its lines without the fence's indent."""
+    blocks, block, indent = [], None, ""
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.strip().startswith("```"):
+            if block is None:
+                block, indent = [], line[: len(line) - len(line.lstrip())]
+            else:
+                blocks.append(block)
+                block = None
+        elif block is not None:
+            block.append(line.removeprefix(indent))
+    return blocks
+
+
+def test_readme_examples_match_the_cli(capsys, tmp_path, monkeypatch):
+    blocks = _readme_blocks()
+    quick = next(b for b in blocks if b and b[0] == "instance: star.pvc")
+    gap = next(b for b in blocks if b and b[0] == "$ pvcover gap")[1:]
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "generate", "star", "--degree", "5", "--out", "star.pvc")
+    assert code == 0 and out == ""
+    code, out, _ = run_cli(capsys, "solve", "star.pvc", "--seed", "7")
+    assert code == 0 and out.splitlines() == quick
+    code, out, _ = run_cli(capsys, "gap")
+    assert code == 0 and out.splitlines() == gap
+
+
 # ---------------------------------------------------------------- determinism
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -486,18 +533,16 @@ def test_solve_byte_identical_across_blas_thread_counts(tmp_path):
     assert one.stdout == two.stdout
 
 
-def test_solve_delta_prune_output_pinned(capsys, tmp_path, monkeypatch):
-    # the whole report of a delta-mode, pruned solve on 150/400/30, pinned by
-    # digest: an LP kernel refactor that claims to keep every pivot must keep
-    # these bytes
+def test_solve_prune_output_pinned(capsys, tmp_path, monkeypatch):
+    # the whole report of a pruned solve on 150/400/30, pinned by digest: an
+    # LP kernel refactor that claims to keep every pivot must keep these bytes
     inst = pv.generate_random(150, 400, 30, seed=1, config=pv.GeneratorConfig(weight_range=(1, 3)))
     monkeypatch.chdir(tmp_path)
     Path("n150.pvc").write_text(pv.serialize_instance(inst), encoding="utf-8")
-    code, out, err = run_cli(capsys, "solve", "n150.pvc", "--mode", "delta", "--prune", "--seed", "3")
+    code, out, err = run_cli(capsys, "solve", "n150.pvc", "--prune", "--seed", "3")
     assert code == 0 and err == ""
-    assert "cost_cap: 188" in out.splitlines()
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "f685151467348b008faee79a564ea1787db92a569104c0474b74b35887742d10"
+        "99b8ccad5656f6dd792ebe2dd815664033f4bd9f22711191e170a20299855b1c"
     )
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pvcover as pv
+import pvcover.cli as cli
 from conftest import PATH_TEXT, random_instances
 from pvcover.instance import CoverCounts, covered_weights
 
@@ -62,12 +63,59 @@ def test_parse_accepts_g_prefixed_group_ids():
         (lambda t: t.replace("v 2 1\n", ""), "missing [2]"),
         (lambda t: t + "x 1 2\n", "line 9"),
         (lambda t: t.replace("g 0 0 1", "g 0 0 0 1"), "duplicate"),
+        (lambda t: t.encode() + b"# \xff\n", "instance file is not valid UTF-8"),
     ],
 )
 def test_parse_rejects_malformed_input(mutation, needle):
     with pytest.raises(pv.InputError) as err:
         pv.parse_instance(mutation(PATH_TEXT))
     assert needle in str(err.value)
+
+
+def _instance(*groups):
+    """Two vertices, two unit edges between them, and the given groups."""
+    return pv.Instance(costs=(1, 1), edges=(pv.Edge(0, 1, 1),) * 2, groups=groups)
+
+
+@pytest.mark.parametrize(
+    "build, needle",
+    [
+        (lambda: pv.Instance(costs=(), edges=(), groups=(pv.Group((0,), 1),)),
+         "at least one vertex"),
+        (lambda: _instance(pv.Group((), 0)), "empty membership"),
+        (lambda: _instance(pv.Group((1, 0), 1)), "sorted and duplicate-free"),
+        (lambda: _instance(pv.Group((0, 0), 1)), "sorted and duplicate-free"),
+        (lambda: _instance(pv.Group((0, 5), 1)), "unknown edge index 5"),
+        (lambda: _instance(pv.Group((0,), -1)), "target must be non-negative"),
+        (lambda: pv.GeneratorConfig(cost_range=(-1, 3)), "bad cost_range"),
+        (lambda: pv.GeneratorConfig(cost_range=(5, 2)), "bad cost_range"),
+        (lambda: pv.GeneratorConfig(weight_range=(0, 1)), "bad weight_range"),
+        (lambda: pv.generate_random(1, 3, 1, 0), "at least two vertices"),
+        (lambda: pv.generate_random(5, 2, 3, 0), "need m >= r >= 1"),
+        (lambda: pv.generate_star(0), "star degree must be at least 1"),
+        (lambda: pv.with_overlapping_groups(pv.generate_star(3), 1.5, 0),
+         "extra_prob must be in [0, 1]"),
+        (lambda: pv.SetCoverInstance(0, ((0,),), (1,)), "at least one element"),
+        (lambda: pv.SetCoverInstance(1, ((0,),), (1, 2)), "one cost per set"),
+        (lambda: pv.SetCoverInstance(1, (), ()), "at least one set"),
+        (lambda: pv.LinearProgram([]), "at least one variable"),
+    ],
+)
+def test_constructors_and_generators_reject_bad_input(build, needle):
+    with pytest.raises(pv.InputError) as err:
+        build()
+    assert needle in str(err.value)
+
+
+def test_instance_bytes_decode_as_utf8(tmp_path, capsys):
+    text = PATH_TEXT + "# caf\u00e9\n"
+    assert pv.parse_instance(text.encode("utf-8")) == pv.parse_instance(text)
+    path = tmp_path / "latin1.pvc"
+    path.write_bytes(text.encode("latin-1"))
+    assert cli.main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} is not valid UTF-8")
 
 
 def test_parse_is_linear_in_a_large_group():

@@ -8,7 +8,7 @@ import pytest
 
 import pvcover as pv
 from pvcover.rounding import MAX_RESTARTS
-from conftest import philox, random_instances
+from conftest import cube_set_cover_text, philox, random_instances
 
 
 def test_rounds_for_schedule():
@@ -117,7 +117,6 @@ def test_solve_rounded_deterministic_and_feasible():
     assert pv.is_feasible(inst, sel_a.chosen)
     assert rep_a.rounds == pv.rounds_for(inst.r)
     assert rep_a.feasible
-    assert rep_a.cost_over_lp == pytest.approx(sel_a.cost / frac.objective)
     # a different seed is allowed to land elsewhere
     sel_c, _ = pv.solve_rounded(inst, frac, pv.RoundingConfig(seed=22))
     assert pv.is_feasible(inst, sel_c.chosen)
@@ -314,12 +313,25 @@ def test_solve_rounded_reports_failure_after_restarts(star5, monkeypatch):
         pv.solve_rounded(star5, frac)
 
 
-def test_report_text_shape(star5):
-    frac = pv.solve_relaxation(star5)
-    sel, rep = pv.solve_rounded(star5, frac, pv.RoundingConfig(seed=0))
-    text = rep.to_text()
-    assert "cost:" in text and "feasible: true" in text
-    assert "time_" not in text
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_cube_gap_family(k):
+    # the only input here where a random draw decides feasibility: from k = 4
+    # on, the threshold set is empty and every group rests on the draws
+    inst = pv.reduce_set_cover(pv.parse_set_cover(cube_set_cover_text(k)))
+    lp_value = 2 - 2 ** (1 - k)
+    frac = pv.solve_relaxation(inst)
+    assert frac.objective == pytest.approx(lp_value, abs=1e-7)
+    assert pv.solve_natural_lp(inst).objective == pytest.approx(lp_value, abs=1e-7)
+    assert pv.greedy_solve(inst).cost == k
+    sel, report = pv.solve_rounded(inst, frac, pv.RoundingConfig(seed=k), prune=True)
+    assert k <= report.pruned_cost <= sel.cost
+    if k >= 4:
+        assert pv.threshold_set(frac.x) == ()
+        margins = pv.precondition_margins(inst, frac.x)
+        assert len(margins) == inst.r
+        assert all(margin >= 1 - pv.EPS_OPT for _, margin in margins)
+    rates = pv.single_round_success(inst, frac.x, 2000, seed=k)
+    assert min(rate.frequency + rate.radius for rate in rates) >= 5 / 8
 
 
 def test_small_instance_outputs_pinned():
@@ -339,9 +351,11 @@ def test_small_instance_outputs_pinned():
             frac = pv.solve_relaxation(inst, mode="delta")
             natural = pv.solve_natural_lp(inst).objective
             sel, report = pv.solve_rounded(inst, frac, pv.RoundingConfig(seed=seed), prune=True)
+            rounded = (report.rounds, report.restarts, report.cost, report.feasible,
+                       report.pruned_cost, report.pruned_chosen)
             out.append((frac.x, frac.objective, frac.objectives, frac.certificate,
-                        frac.cost_cap, natural, sel, report))
+                        frac.cost_cap, natural, sel, rounded))
     assert sum(len(o[2]) for o in out) == 233  # LP solves of the strengthened loops
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "b6f8f659f553c6dbd93eda62bfe2535cac8fe02c5a2feb0b4be8e41301114514"
+        "de6a00b6dd9f0e5a24181d36c5710f5c29e819b64bd5741a44c36756841c1464"
     )
