@@ -5,14 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field, fields
 
 from .errors import InputError, PvcoverError
 from .exact import DEFAULT_LIMIT, _search, exact_solve
 from .greedy import greedy_solve
-from .instance import GeneratorConfig, generate_random, generate_star, with_overlapping_groups
+from .instance import GeneratorConfig, _rng, generate_random, generate_star, with_overlapping_groups
 from .relaxation import solve_natural_lp, solve_relaxation
 from .rounding import RoundingConfig, single_round_success, solve_rounded
 
@@ -27,25 +25,6 @@ __all__ = [
 ]
 
 SCHEMA = "pvcover-bench-v1"
-
-COLUMNS = [
-    "instance",
-    "n",
-    "m",
-    "r",
-    "natural_lp",
-    "strengthened_lp",
-    "rounded_cost",
-    "exact_cost",
-    "greedy_cost",
-    "rounds",
-    "restarts",
-    "seed",
-    "min_round_success",
-    "status",
-    "max_cost_over_exact",
-    "mean_cost_over_exact",
-]
 
 
 @dataclass(frozen=True)
@@ -76,14 +55,14 @@ class BenchConfig:
             raise InputError(f"r min must be at least 1, got {self.r_range[0]}")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class BenchRecord:
+    """One CSV row; the fields before timings are the columns, in order."""
+
     instance: str
     n: int
     m: int
     r: int
-    seed: int
-    status: str = "ok"
     natural_lp: float | None = None
     strengthened_lp: float | None = None
     rounded_cost: int | None = None
@@ -91,8 +70,16 @@ class BenchRecord:
     greedy_cost: int | None = None
     rounds: int | None = None
     restarts: int | None = None
+    seed: int
     min_round_success: float | None = None
+    status: str = "ok"
     timings: dict = field(default_factory=dict)
+
+
+COLUMNS = [f.name for f in fields(BenchRecord) if f.name != "timings"] + [
+    "max_cost_over_exact",
+    "mean_cost_over_exact",
+]
 
 
 def _timed(timings, stage, fn):
@@ -104,9 +91,7 @@ def _timed(timings, stage, fn):
 
 
 def _make_instance(cfg: BenchConfig, row: int):
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(row,)))
-    )
+    rng = _rng(cfg.seed, row)
     r = int(rng.integers(cfg.r_range[0], cfg.r_range[1] + 1))
     n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
     m_lo = max(cfg.m_range[0], r)

@@ -514,9 +514,13 @@ class CoverCounts:
 # generators
 # ----------------------------------------------------------------------
 
-def _rng(seed: int) -> np.random.Generator:
-    # Philox is the pinned generator for everything in this package.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The package's only stream: Philox on SeedSequence(seed, spawn_key=key).
+
+    A key (a,) is SeedSequence(seed).spawn(a + 1)[a], so keyed streams are
+    independent children of the seed and each can be built on its own.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def generate_star(degree: int) -> Instance:

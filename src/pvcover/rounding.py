@@ -9,12 +9,13 @@ O(log r) times the fractional objective.  The threshold is the one the
 separation oracle checks (constants.ROUNDING_THRESHOLD); the bound holds
 only because the two sides share it.
 
-Randomness is pinned: one Philox stream from numpy per rounding attempt,
-split off the seed through SeedSequence.spawn, whose rows are the
-attempt's rounds.  A round takes one uniform draw per below-threshold
-vertex of positive pick probability, in vertex id order; a vertex with
-x_v = 0 is never picked, so it takes no draw, and a solve with no such
-vertex builds no stream at all.
+Randomness is pinned: every stream is instance._rng's, and every pick is
+_draw's.  Rounding attempt a draws its rounds as the rows of the stream
+keyed (seed, a), that is SeedSequence(seed, spawn_key=(a,)), which equals
+SeedSequence(seed).spawn(8)[a].  A round takes one uniform draw per
+below-threshold vertex of positive pick probability, in vertex id order; a
+vertex with x_v = 0 is never picked, so it takes no draw, and a solve with
+no such vertex builds no stream at all.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .constants import EPS_OPT, ROUNDING_SCALE
 from .errors import RoundingFailure, SolverError
-from .instance import CoverCounts, Instance, VertexSelection, covered_weights, is_feasible
+from .instance import CoverCounts, Instance, VertexSelection, _rng, covered_weights, is_feasible
 from .relaxation import FractionalSolution, threshold_rows, threshold_set
 
 __all__ = [
@@ -98,14 +99,14 @@ def _plan(x):
     return sure, rest, ROUNDING_SCALE * np.array([x[v] for v in rest])
 
 
-def _draw(x, trials: int, rng: np.random.Generator):
-    """Threshold set, the pickable vertices, and a (trials, k) mask of their picks.
+def _draw(plan, trials: int, rng: np.random.Generator):
+    """A (trials, k) mask of picks of _plan's k pickable vertices.
 
     Row t consumes the same doubles as the t-th rng.random(k) call: one
-    uniform draw per pickable vertex (see _plan), in vertex id order.
+    uniform draw per pickable vertex, in vertex id order.
     """
-    sure, rest, probs = _plan(x)
-    return sure, rest, rng.random((trials, len(rest))) < probs
+    _, rest, probs = plan
+    return rng.random((trials, len(rest))) < probs
 
 
 def round_once(inst: Instance, x, rng: np.random.Generator) -> VertexSelection:
@@ -115,8 +116,8 @@ def round_once(inst: Instance, x, rng: np.random.Generator) -> VertexSelection:
     x_v > 0, in vertex id order, so a round can be replayed from its seed
     alone.
     """
-    sure, rest, picked = _draw(x, 1, rng)
-    return VertexSelection.from_set(inst, sure + tuple(compress(rest, picked[0])))
+    plan = sure, rest, _ = _plan(x)
+    return VertexSelection.from_set(inst, sure + tuple(compress(rest, _draw(plan, 1, rng)[0])))
 
 
 @dataclass(frozen=True)
@@ -125,10 +126,6 @@ class RoundSamples:
 
     costs: np.ndarray  # shape (trials,)
     success: np.ndarray  # shape (trials, r), boolean
-
-    @property
-    def trials(self) -> int:
-        return int(self.costs.shape[0])
 
 
 def _rounds(inst: Instance, x, trials: int, rng: np.random.Generator):
@@ -143,7 +140,8 @@ def _rounds(inst: Instance, x, trials: int, rng: np.random.Generator):
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    sure, rest, picked = _draw(x, trials, rng)
+    plan = sure, rest, _ = _plan(x)
+    picked = _draw(plan, trials, rng)
     # vertex-major, the layout covered_weights gathers from
     by_vertex = np.zeros((inst.n, trials), dtype=bool)
     by_vertex[list(sure)] = True
@@ -176,8 +174,7 @@ class GroupRate:
 
 def single_round_success(inst: Instance, x, trials: int, seed: int) -> tuple[GroupRate, ...]:
     """Monte Carlo estimate of each group's single-round success probability."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    _, success = _rounds(inst, x, trials, rng)
+    _, success = _rounds(inst, x, trials, _rng(seed))
     rates = []
     for gi in range(inst.r):
         p = float(success[:, gi].mean())
@@ -235,10 +232,10 @@ def solve_rounded(
 ) -> tuple[VertexSelection, SolveReport]:
     """Union rounds_for(r) independent rounds; restart on the rare failure.
 
-    Attempt a draws its rounds as the rows of one Philox stream seeded by
-    SeedSequence(cfg.seed).spawn(MAX_RESTARTS)[a], one uniform per pickable
-    vertex (see _plan) per round; with no pickable vertex the union is the
-    threshold set and no stream is built.
+    Attempt a draws its rounds as the rows of _rng(cfg.seed, a), which is
+    SeedSequence(cfg.seed).spawn(MAX_RESTARTS)[a]'s stream, one uniform per
+    pickable vertex (see _plan) per round; with no pickable vertex the union
+    is the threshold set and no stream is built.
 
     Requires a clean fractional point: every still-unsatisfied group must
     have a normalized cover-row margin of at least 1, which is what makes a
@@ -250,18 +247,13 @@ def solve_rounded(
                 f"rounding precondition violated: group {gi} margin {margin:.9g} < 1"
             )
     rounds = rounds_for(inst.r)
-    sure, rest, probs = _plan(frac.x)
-    root = np.random.SeedSequence(cfg.seed)
+    plan = sure, rest, _ = _plan(frac.x)
     for attempt in range(MAX_RESTARTS):
         chosen = set(sure)
         # with no pickable vertex no round can add one, so no stream is built
         if rest:
-            # spawn numbers children by its running count, so this is
-            # root.spawn(MAX_RESTARTS)[attempt] without spawning the unused ones
-            (attempt_seed,) = root.spawn(1)
-            rng = np.random.Generator(np.random.Philox(attempt_seed))
             # row t is round t; a vertex joins the union if any round picks it
-            picked = rng.random((rounds, len(rest))) < probs
+            picked = _draw(plan, rounds, _rng(cfg.seed, attempt))
             chosen.update(compress(rest, picked.any(axis=0)))
         union = VertexSelection.from_set(inst, chosen)
         if is_feasible(inst, union.chosen):

@@ -372,6 +372,24 @@ def test_corrupt_carried_slack_reduced_cost_is_caught_and_refactored(monkeypatch
     assert again.duals == (1.0,)
 
 
+def test_singular_basis_on_refactor_raises_and_marks_the_lp(monkeypatch):
+    # the corrupt tableau of the test above, but the factorization finds the
+    # basis singular: the solve raises, and the LP is marked so no later
+    # solve resumes from the tableau it left
+    lp = LinearProgram([1.0, 1.0]).add_row({0: 1.0, 1: 1.0}, 1.0)
+    assert lp_solve(lp).pivots == 1
+    lp._bordered(1)[1, 2] = 2.0
+
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(pv.SolverError, match="^singular working basis in simplex$"):
+        lp_solve(lp)
+    with pytest.raises(pv.SolverError, match="an earlier solve of this LP raised"):
+        lp_solve(lp)
+
+
 def test_failed_certificate_on_a_fresh_factorization_raises(monkeypatch):
     # with a tolerance no bound can meet, the stale tableau is factored once
     # and the fresh factorization's failure is an error, not a verdict

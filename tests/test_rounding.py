@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pvcover as pv
+from pvcover.instance import _rng
 from pvcover.rounding import MAX_RESTARTS
 from conftest import cube_set_cover_text, philox, random_instances
 
@@ -358,4 +359,36 @@ def test_small_instance_outputs_pinned():
     assert sum(len(o[2]) for o in out) == 233  # LP solves of the strengthened loops
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
         "de6a00b6dd9f0e5a24181d36c5710f5c29e819b64bd5741a44c36756841c1464"
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_keyed_streams_are_the_seed_trees_children(seed):
+    # the one stream rule: the stream keyed (seed, a) is SeedSequence(seed)'s
+    # spawn a, which rounding attempt a draws, and the unkeyed stream is the
+    # seed's own, which the generators and Monte Carlo draw
+    children = np.random.SeedSequence(seed).spawn(MAX_RESTARTS)
+    for a, child in enumerate(children):
+        want = np.random.Generator(np.random.Philox(child)).random(64)
+        assert np.array_equal(_rng(seed, a).random(64), want)
+    own = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(64)
+    assert np.array_equal(_rng(seed).random(64), own)
+
+
+def test_cube_draws_pinned():
+    # the only pinned input where draws decide the result: on the F_2^6 cube
+    # reduction the threshold set is empty, the unions take 61-63 of the 63
+    # sets and the Monte Carlo frequencies fall below 1, so a change to any
+    # stream or to the pick rule changes these bytes
+    inst = pv.reduce_set_cover(pv.parse_set_cover(cube_set_cover_text(6)))
+    frac = pv.solve_relaxation(inst)
+    out = []
+    for seed in range(8):
+        sel, report = pv.solve_rounded(inst, frac, pv.RoundingConfig(seed=seed), prune=True)
+        out.append((sel.chosen, report.restarts, report.pruned_chosen))
+    rates = pv.single_round_success(inst, frac.x, 2000, 1)
+    out.append(tuple((rate.frequency, rate.radius) for rate in rates))
+    assert min(rate.frequency for rate in rates) < 1.0
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "dc29e5fc6bcdda703923ce8061a694585f5bacb0561be3d34cbe01b8d9724e0f"
     )
