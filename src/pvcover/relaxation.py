@@ -1,19 +1,19 @@
 """Covering relaxations over vertex variables: cover rows, separation, cutting planes.
 
-For a group with residual demand left after removing a vertex set, each
-outside vertex can contribute at most min(residual, its remaining weighted
-degree).  Those truncated rows close the integrality gap of the natural
-relaxation; only the row induced by the rounding threshold ever needs to be
-checked, which keeps separation polynomial and the master LP tiny.
+The paper's two row families.  Capped-coverage rows bound each edge's
+contribution to a group's demand by its own weight, and one pass over a
+group's edges separates them exactly; they are the natural relaxation
+projected onto the vertex variables, which the same cutting-plane loop
+solves.  Cover rows: for a group with residual demand left after removing a
+vertex set, each outside vertex can contribute at most min(residual, its
+remaining weighted degree).  Those truncated rows close the integrality gap
+of the natural relaxation; only the row induced by the rounding threshold
+ever needs to be checked, which keeps separation polynomial and the master
+LP tiny.  Only cover rows are truncated.
 
-Capped-coverage rows bound each edge's contribution to a group's demand by
-its own weight, and one pass over a group's edges separates them exactly.
-Untruncated, they are the natural relaxation projected onto the vertex
-variables, which the same cutting-plane loop solves; truncated like the
-cover rows, they pin the strengthened value at or above the natural one.
-The strengthened loop appends one row per solve: the first violated cover
-row by group index, else the capped row of the group whose demand is
-relatively furthest from met (the deepest capped cut).
+The strengthened loop appends one row per solve: the capped row of the
+group whose demand is relatively furthest from met (the deepest capped
+cut), else the first violated cover row by group index.
 
 Both families come from one member walk, _split(inst, group, y, split): it
 removes the edges with y_u + y_v >= split and keeps the rest.  A cover row
@@ -99,14 +99,14 @@ def _split(inst, group, y, split):
     return (left, kept, supply) if left > 0 else None
 
 
-def _coefficients(left, kept, truncate=True):
+def _coefficients(kept):
     """Row coefficients of kept members, sorted by vertex: each kept member
-    adds its weight to both endpoints, each sum capped at left when truncate."""
+    adds its weight to both endpoints."""
     acc: dict[int, int] = {}
     for _, u, v, w in kept:
         acc[u] = acc.get(u, 0) + w
         acc[v] = acc.get(v, 0) + w
-    return tuple((v, min(left, w) if truncate else w) for v, w in sorted(acc.items()))
+    return tuple(sorted(acc.items()))
 
 
 def _kc_rows(inst, groups, picked):
@@ -126,7 +126,8 @@ def _kc_rows(inst, groups, picked):
         walk = _split(inst, gi, y, 1.0)
         if walk is not None:
             left, kept, _ = walk
-            yield KnapsackCoverConstraint(gi, picked, _coefficients(left, kept), left)
+            row = tuple((v, min(left, a)) for v, a in _coefficients(kept))
+            yield KnapsackCoverConstraint(gi, picked, row, left)
 
 
 def build_kc_constraint(inst, group, suppressed):
@@ -146,8 +147,7 @@ class CappedCoverageCut(_CoverRow):
     discounting the demand by their total weight leaves a linear row in the
     remaining ("kept") edges that every covering vertex set satisfies: a
     kept edge the cover touches has a chosen endpoint, so its x_u + x_v is
-    at least 1.  Coefficients are truncated at rhs like the cover rows,
-    except in the natural relaxation (truncation is valid for covers only).
+    at least 1.  Coefficients are the natural relaxation's, untruncated.
     """
 
     group: int
@@ -156,7 +156,7 @@ class CappedCoverageCut(_CoverRow):
     rhs: int
 
 
-def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS, truncate=True):
+def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS):
     """Capped-demand row for the group, induced by and violated at x, or None.
 
     The row is built from the edges _split(inst, group, x, 1 - tol) keeps,
@@ -175,13 +175,13 @@ def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS, truncate=True):
     return CappedCoverageCut(
         group=group,
         kept=tuple(eid for eid, _, _, _ in kept),
-        coefficients=_coefficients(left, kept, truncate),
+        coefficients=_coefficients(kept),
         rhs=left,
     )
 
 
 def _deepest_capped_cut(inst, x, tol):
-    """The truncated capped row of largest relative shortfall at x, or None.
+    """The capped row of largest relative shortfall at x, or None.
 
     A group's shortfall is (left - supply) / left over the groups whose
     capped row is violated (supply < left - tol); ties go to the lower group
@@ -305,11 +305,11 @@ def _cut_loop(inst, pool, cut_log, violated):
 
 
 def _strengthened(inst):
-    """The strengthened separation, one row per round: the first violated
-    threshold cover row by group index, else the deepest violated truncated
-    capped-coverage row, else nothing."""
+    """The strengthened separation, one row per round: the deepest violated
+    capped-coverage row, else the first violated threshold cover row by group
+    index, else nothing, which comes only once every capped row holds."""
     def violated(x, tol):
-        row = separate(inst, x, tol=tol) or _deepest_capped_cut(inst, x, tol)
+        row = _deepest_capped_cut(inst, x, tol) or separate(inst, x, tol=tol)
         return [] if row is None else [row]
     return violated
 
@@ -319,10 +319,10 @@ def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> Frac
 
     The pool starts with each group's unsuppressed cover row; the
     cutting-plane loop minimizes the true cost over it, adding violated rows
-    until the point is clean.  Clean means the threshold separation passes
-    and every group's capped demand is met, so the point is both roundable
-    and at least as expensive as the natural relaxation's optimum; its
-    certificate re-verifies at it.  Both modes return that point.
+    until the point is clean.  Clean means every group's capped demand is
+    met, which makes the point at least as expensive as the natural
+    relaxation's optimum, and the threshold separation passes, which makes
+    it roundable; its certificate re-verifies at it.  Both modes return it.
 
     mode "delta" also reports cost_cap, the relaxation's feasibility form:
     the smallest integer budget delta such that some clean point of the
@@ -348,7 +348,7 @@ def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> Frac
 def solve_natural_lp(inst: Instance) -> FractionalSolution:
     """Natural relaxation, solved as its projection onto the vertex variables.
 
-    The cutting-plane loop appends, each round, every group's untruncated
+    The cutting-plane loop appends, each round, every group's
     capped-coverage row violated at the current point; a clean point meets
     sum of w_e * min(1, x_u + x_v) >= target in every group, which is the
     natural relaxation's edge-variable LP with the edge variables projected
@@ -358,7 +358,7 @@ def solve_natural_lp(inst: Instance) -> FractionalSolution:
     violated, so the master starts with those rows instead.
     """
     def violated(x, tol):
-        rows = (capped_coverage_cut(inst, gi, x, tol, truncate=False) for gi in range(inst.r))
+        rows = (capped_coverage_cut(inst, gi, x, tol) for gi in range(inst.r))
         return [row for row in rows if row is not None]
 
     pool = dict.fromkeys(violated([0.0] * inst.n, EPS_FEAS))

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,27 @@ def cube_set_cover_text(k):
     for s in range(size):
         members = [e for e in range(size) if bin((s + 1) & (e + 1)).count("1") % 2]
         lines.append(f"s {s} 1 " + " ".join(map(str, members)))
+    return "\n".join(lines) + "\n"
+
+
+def full_target_text(n, m, r):
+    """Groups whose target is all of their weight, as an instance file.
+
+    random.Random(7) draws the vertex costs 1..10, then m distinct edges of
+    weight 1, dealt round-robin into r groups; each group's target is its
+    size.  With r = 1 this is weighted vertex cover.
+    """
+    rnd = random.Random(7)
+    costs = [rnd.randint(1, 10) for _ in range(n)]
+    edges = {}
+    while len(edges) < m:
+        edges.setdefault(tuple(sorted(rnd.sample(range(n), 2))), None)
+    groups = [list(range(gi, m, r)) for gi in range(r)]
+    lines = [f"p pvc {n} {m} {r}"]
+    lines += [f"v {v} {c}" for v, c in enumerate(costs)]
+    lines += [f"e {eid} {u} {v} 1" for eid, (u, v) in enumerate(edges)]
+    lines += [f"g {gi} " + " ".join(map(str, g)) for gi, g in enumerate(groups)]
+    lines += [f"k {gi} {len(g)}" for gi, g in enumerate(groups)]
     return "\n".join(lines) + "\n"
 
 

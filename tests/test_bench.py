@@ -94,7 +94,7 @@ def test_bench_csv_pinned():
     )
     text = bench.format_csv(*bench.run_bench(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "615a4e8f911d5ce984cfbf310c4569359259feb2c2d019e7bf664ec536f10713"
+        "bd46ba281c8ff0deee5764fd02daaf962725c7ce5b6a4825de0577acdc4e0946"
     )
 
 

@@ -207,16 +207,16 @@ def test_solve_cuts_count_the_logged_cover_rows_with_a_target_0_group(capsys, tm
     """A target-0 group starts the loop with no row, so cuts: is not the
     certificate's length less r: it counts the cover rows the loop appended."""
     code, text, _ = run_cli(capsys, "generate", "random", "--n", "12", "--m", "18",
-                            "--r", "3", "--seed", "3", "--weight-max", "3")
-    assert code == 0 and "k 0 19\n" in text
+                            "--r", "3", "--seed", "236", "--weight-max", "3")
+    assert code == 0 and "k 0 6\n" in text
     inst_path = tmp_path / "zero.pvc"
-    inst_path.write_text(text.replace("k 0 19\n", "k 0 0\n"), encoding="utf-8")
+    inst_path.write_text(text.replace("k 0 6\n", "k 0 0\n"), encoding="utf-8")
     log_path = tmp_path / "cuts.log"
     code, out, _ = run_cli(capsys, "solve", str(inst_path), "--cut-log", str(log_path))
     assert code == 0
     log = log_path.read_text(encoding="utf-8")
-    assert log.count(" suppressed=") == 2
-    assert "cuts: 2" in out.splitlines()
+    assert log.count(" suppressed=") == 1
+    assert "cuts: 1" in out.splitlines()
 
 
 # ---------------------------------------------------------------- errors
@@ -542,7 +542,7 @@ def test_solve_prune_output_pinned(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "solve", "n150.pvc", "--prune", "--seed", "3")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "99b8ccad5656f6dd792ebe2dd815664033f4bd9f22711191e170a20299855b1c"
+        "cd3c57287df6ac297f39c9414706d35d669ebd2f39d664b505fcd892d36f8092"
     )
 
 

@@ -16,7 +16,7 @@ import pytest
 
 import pvcover as pv
 import pvcover.relaxation as relaxation
-from conftest import random_instances
+from conftest import full_target_text, random_instances
 from pvcover.constants import EPS_FEAS, ROUNDING_THRESHOLD
 
 
@@ -80,9 +80,9 @@ def ref_build_kc_constraint(inst, group, suppressed):
     return relaxation.KnapsackCoverConstraint(group, tuple(sorted(picked)), coefficients, left)
 
 
-def ref_capped_coverage_cut(inst, group, x, tol=EPS_FEAS, truncate=True):
+def ref_capped_coverage_cut(inst, group, x, tol=EPS_FEAS):
     left, kept, coefficients = ref_cover_row(
-        inst, group, lambda e: x[e.u] + x[e.v] >= 1.0 - tol, truncate
+        inst, group, lambda e: x[e.u] + x[e.v] >= 1.0 - tol, truncate=False
     )
     supply = 0.0
     for eid in kept:
@@ -314,16 +314,15 @@ k 0 4
 """
 
 
-@pytest.mark.parametrize("truncate", [True, False])
-def test_capped_coverage_cut_split_ignores_a_one_ulp_wobble(truncate):
+def test_capped_coverage_cut_split_ignores_a_one_ulp_wobble():
     # edge 0's endpoints sum to exactly 1 at one point and one ulp below 1 at
     # the other; the split must cap the edge at both and pick the same row
     inst = pv.parse_instance(TWO_EDGES_TEXT)
     exact = [0.5, 0.5, 0.1, 0.1]
     wobbled = [0.5, 0.5 - 2.0**-53, 0.1, 0.1]
     assert wobbled[0] + wobbled[1] == np.nextafter(1.0, 0.0)
-    want = pv.capped_coverage_cut(inst, 0, exact, truncate=truncate)
-    got = pv.capped_coverage_cut(inst, 0, wobbled, truncate=truncate)
+    want = pv.capped_coverage_cut(inst, 0, exact)
+    got = pv.capped_coverage_cut(inst, 0, wobbled)
     assert want is not None and want.kept == (1,) and want.rhs == 2
     assert got == want
 
@@ -356,11 +355,23 @@ k 1 1
 def test_strengthened_appends_the_deepest_capped_row(x0, want):
     inst = pv.parse_instance(TWO_GROUPS_TEXT)
     x = [x0, 0.0, 0.5, 0.0]
-    # every threshold cover row is vacuous, so the capped step decides
+    # the capped step comes first; no threshold cover row is violated either
     assert pv.separate(inst, x) is None
     assert all(pv.capped_coverage_cut(inst, gi, x) is not None for gi in range(inst.r))
     rows = relaxation._strengthened(inst)(x, EPS_FEAS)
     assert rows == [pv.capped_coverage_cut(inst, want, x)]
+
+
+def test_strengthened_appends_the_untruncated_capped_row_before_a_cover_row(star5):
+    # at the zero point both the unsuppressed cover row and the capped row are
+    # violated: the capped row comes first, and the centre's coefficient is
+    # its whole weighted degree 5, not the truncated 1
+    zero = [0.0] * star5.n
+    assert pv.separate(star5, zero) is not None
+    rows = relaxation._strengthened(star5)(zero, EPS_FEAS)
+    assert rows == [pv.capped_coverage_cut(star5, 0, zero)]
+    assert rows[0].coefficients == ((0, 5),) + tuple((v, 1) for v in range(1, 6))
+    assert rows[0].rhs == 1
 
 
 def test_row_sums_keep_their_summation_order():
@@ -392,9 +403,7 @@ def _assert_rows_match_reference(inst, x, suppressed_sets=()):
     assert pv.separate(inst, x, 10 * EPS_FEAS) == ref_separate(inst, x, 10 * EPS_FEAS)
     assert list(relaxation.threshold_rows(inst, x)) == ref_threshold_rows(inst, x)
     for gi in range(inst.r):
-        for truncate in (True, False):
-            got = pv.capped_coverage_cut(inst, gi, x, truncate=truncate)
-            assert got == ref_capped_coverage_cut(inst, gi, x, truncate=truncate)
+        assert pv.capped_coverage_cut(inst, gi, x) == ref_capped_coverage_cut(inst, gi, x)
         for picked in (pv.threshold_set(x), *suppressed_sets):
             assert pv.build_kc_constraint(inst, gi, picked) == ref_build_kc_constraint(
                 inst, gi, picked
@@ -586,10 +595,7 @@ def test_row_builders_keep_exact_python_ints_near_2_61():
         _assert_rows_match_reference(inst, x, [(1,), (0, 4), (2, 3)])
         built += list(relaxation.threshold_rows(inst, x))
         built += [pv.build_kc_constraint(inst, gi, (1,)) for gi in range(inst.r)]
-        built += [
-            pv.capped_coverage_cut(inst, gi, x, truncate=t) for gi in range(inst.r)
-            for t in (True, False)
-        ]
+        built += [pv.capped_coverage_cut(inst, gi, x) for gi in range(inst.r)]
     built = [row for row in built if row is not None]
     assert any(isinstance(row, relaxation.CappedCoverageCut) for row in built)
     assert any(row.rhs > 2**62 for row in built)
@@ -614,6 +620,19 @@ def test_solve_relaxation_lopsided_edge(lopsided_edge):
     delta = pv.solve_relaxation(lopsided_edge, mode="delta")
     assert delta.cost_cap == 3
     assert delta.objective == pytest.approx(3.0, abs=1e-6)
+
+
+def test_full_target_groups_solve_to_the_natural_value():
+    # every group's target is all of its weight, so every edge must be
+    # covered: the strengthened point is the natural optimum, and rounding
+    # from it covers every group
+    inst = pv.parse_instance(full_target_text(60, 180, 6))
+    frac = pv.solve_relaxation(inst)
+    assert frac.objective == pytest.approx(163.0, abs=1e-6)
+    assert frac.objective == pytest.approx(pv.solve_natural_lp(inst).objective, abs=1e-6)
+    sel, report = pv.solve_rounded(inst, frac, pv.RoundingConfig(seed=0), prune=True)
+    assert report.feasible and pv.is_feasible(inst, sel.chosen)
+    assert set(report.pruned_chosen) <= set(sel.chosen)
 
 
 def test_solve_relaxation_rejects_unknown_mode(star5):
@@ -738,8 +757,8 @@ def test_duplicate_cut_stalls_only_while_it_stays_violated(star5, kind):
         pool = dict.fromkeys(relaxation.threshold_rows(star5, zero))
         again = pv.build_kc_constraint(star5, 0, ())
     else:
-        pool = dict.fromkeys([pv.capped_coverage_cut(star5, 0, zero, truncate=False)])
-        again = pv.capped_coverage_cut(star5, 0, zero, truncate=False)
+        pool = dict.fromkeys([pv.capped_coverage_cut(star5, 0, zero)])
+        again = pv.capped_coverage_cut(star5, 0, zero)
     assert list(pool) == [again]
     start = list(pool)
 

@@ -356,9 +356,9 @@ def test_small_instance_outputs_pinned():
                        report.pruned_cost, report.pruned_chosen)
             out.append((frac.x, frac.objective, frac.objectives, frac.certificate,
                         frac.cost_cap, natural, sel, rounded))
-    assert sum(len(o[2]) for o in out) == 233  # LP solves of the strengthened loops
+    assert sum(len(o[2]) for o in out) == 247  # LP solves of the strengthened loops
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "de6a00b6dd9f0e5a24181d36c5710f5c29e819b64bd5741a44c36756841c1464"
+        "27e469e10ff72c2b4d5b6f9569ff22b9ff68300186155986082bdd8584a2023f"
     )
 
 
