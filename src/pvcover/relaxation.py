@@ -11,8 +11,18 @@ of the natural relaxation; only the row induced by the rounding threshold
 ever needs to be checked, which keeps separation polynomial and the master
 LP tiny.  Only cover rows are truncated.
 
-The strengthened loop appends one row per solve: the capped row of the
-group whose demand is relatively furthest from met (the deepest capped
+Some cover rows are known before any solve.  A vertex pair (u, v) is
+forced in a group when its member edges between u and v weigh more than the
+group's total weight less its target: every cover then takes u or v, and
+the cover row of the suppressed set V - {u, v} says so.  Both loops start
+from a pool that holds those rows: the strengthened loop the truncated
+cover row of each forced pair, the natural loop its untruncated capped row,
+which every natural point meets.  With one group that asks for every edge
+(weighted vertex cover) every edge is forced, and the first solve is the
+vertex cover LP's optimum.
+
+The strengthened loop then appends one row per solve: the capped row of
+the group whose demand is relatively furthest from met (the deepest capped
 cut), else the first violated cover row by group index.
 
 Both families come from one member walk, _split(inst, group, y, split): it
@@ -180,6 +190,55 @@ def capped_coverage_cut(inst, group, x, tol: float = EPS_FEAS):
     )
 
 
+def _forced_pairs(inst):
+    """Every forced vertex pair, once, as (group, u, v, kept, weight, left), u < v.
+
+    A pair is forced in group i when the weight of i's members between u and
+    v, weight, exceeds W_i - k_i, W_i being the group's total weight and k_i
+    its target: every cover then takes u or v, and left = k_i - (W_i -
+    weight) is the demand the pair alone must meet.  kept lists the pair's
+    member edge ids in membership order.  Each pair comes from the
+    lowest-indexed group that forces it.  A pair is skipped when u or v
+    alone meets the group's target: the group's unsuppressed cover row then
+    gives that vertex the whole target as its coefficient, and a full-target
+    star keeps that one row instead of one row per edge.
+    """
+    seen = set()
+    for gi, members in enumerate(inst.incidence.group_members):
+        target = inst.groups[gi].target
+        degree: dict[int, int] = {}
+        for _, u, v, w in members:
+            degree[u] = degree.get(u, 0) + w
+            degree[v] = degree.get(v, 0) + w
+        slack = sum(degree.values()) // 2 - target
+        pairs: dict[tuple[int, int], list[int]] = {}
+        for eid, u, v, _ in members:
+            # a pair weighs at most either end's degree
+            if slack < degree[u] < target and slack < degree[v] < target:
+                pairs.setdefault((u, v) if u < v else (v, u), []).append(eid)
+        for (u, v), kept in pairs.items():
+            w = sum(inst.edges[eid].weight for eid in kept)
+            if w > slack and (u, v) not in seen:
+                seen.add((u, v))
+                yield gi, u, v, tuple(kept), w, w - slack
+
+
+def _forced_cover_rows(inst):
+    """The truncated cover row of each forced pair (u, v): the suppressed set
+    is every other vertex, so the row reads left * x_u + left * x_v >= left."""
+    others = tuple(range(inst.n))
+    for gi, u, v, _, _, left in _forced_pairs(inst):
+        suppressed = others[:u] + others[u + 1:v] + others[v + 1:]
+        yield KnapsackCoverConstraint(gi, suppressed, ((u, left), (v, left)), left)
+
+
+def _forced_capped_rows(inst):
+    """The untruncated capped row of each forced pair (u, v), with the pair's
+    member edges kept: weight * x_u + weight * x_v >= left."""
+    for gi, u, v, kept, w, left in _forced_pairs(inst):
+        yield CappedCoverageCut(gi, kept, ((u, w), (v, w)), left)
+
+
 def _deepest_capped_cut(inst, x, tol):
     """The capped row of largest relative shortfall at x, or None.
 
@@ -267,9 +326,11 @@ def _cut_loop(inst, pool, cut_log, violated):
     """Minimize costs . x over the rows of pool, appending violated rows until clean.
 
     pool is an insertion-ordered dict whose keys are the master's rows; rows
-    compare by value, so a rebuilt row is found in it.  violated(x, tol) lists the rows to append at x, none when x is clean;
-    appended rows grow pool in place, and at most CUTS_PER_GROUP * r rows
-    are appended beyond the rows pool starts with.  The master keeps the
+    compare by value, so a rebuilt row is found in it.  The rows pool starts
+    with are the formulation: they are not logged, and the cut budget does
+    not count them.  violated(x, tol) lists the rows to append at x, none
+    when x is clean; appended rows grow pool in place, are logged, and at
+    most CUTS_PER_GROUP * r of them are appended.  The master keeps the
     basis of its last solve, so each round's solve resumes from the previous
     optimum.  Returns (x, value, value trace).
     """
@@ -317,7 +378,8 @@ def _strengthened(inst):
 def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> FractionalSolution:
     """Solve the strengthened relaxation by lazy row generation.
 
-    The pool starts with each group's unsuppressed cover row; the
+    The pool starts with each group's unsuppressed cover row, then the
+    truncated cover row of each forced pair (_forced_pairs); the
     cutting-plane loop minimizes the true cost over it, adding violated rows
     until the point is clean.  Clean means every group's capped demand is
     met, which makes the point at least as expensive as the natural
@@ -334,7 +396,7 @@ def solve_relaxation(inst: Instance, mode: str = "direct", cut_log=None) -> Frac
     if mode not in ("direct", "delta"):
         raise InputError(f"unknown relaxation mode {mode!r}")
     # the zero point's threshold set is empty: each group's unsuppressed row
-    pool = dict.fromkeys(threshold_rows(inst, [0.0] * inst.n))
+    pool = dict.fromkeys([*threshold_rows(inst, [0.0] * inst.n), *_forced_cover_rows(inst)])
     x, value, trace = _cut_loop(inst, pool, cut_log, _strengthened(inst))
     return FractionalSolution(
         x=x,
@@ -355,12 +417,15 @@ def solve_natural_lp(inst: Instance) -> FractionalSolution:
     out.  On stars it pays 1/degree while any integral cover pays a full
     vertex, which is the gap the strengthened relaxation closes.  The first
     solve of an empty master is the zero point, where every group's row is
-    violated, so the master starts with those rows instead.
+    violated, so the master starts with those rows instead, followed by the
+    capped row of each forced pair (_forced_pairs), which keeps only the
+    pair's member edges: every point that meets the group's capped demand
+    meets it, so the value is the natural one.
     """
     def violated(x, tol):
         rows = (capped_coverage_cut(inst, gi, x, tol) for gi in range(inst.r))
         return [row for row in rows if row is not None]
 
-    pool = dict.fromkeys(violated([0.0] * inst.n, EPS_FEAS))
+    pool = dict.fromkeys([*violated([0.0] * inst.n, EPS_FEAS), *_forced_capped_rows(inst)])
     x, value, _ = _cut_loop(inst, pool, None, violated)
     return FractionalSolution(x=x, objective=value, certificate=())

@@ -94,7 +94,7 @@ def test_bench_csv_pinned():
     )
     text = bench.format_csv(*bench.run_bench(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "bd46ba281c8ff0deee5764fd02daaf962725c7ce5b6a4825de0577acdc4e0946"
+        "b102a92a3dcbff3c663bdca81e6c6dc38c0482f679cbda821dff125446bfe603"
     )
 
 

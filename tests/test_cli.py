@@ -542,7 +542,7 @@ def test_solve_prune_output_pinned(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "solve", "n150.pvc", "--prune", "--seed", "3")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "cd3c57287df6ac297f39c9414706d35d669ebd2f39d664b505fcd892d36f8092"
+        "924e6225342fea58edb5a4d4562664b12ba13c908ec30f615ad2814fff8c51d0"
     )
 
 

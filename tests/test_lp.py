@@ -183,13 +183,14 @@ def test_lp_resolve_after_each_appended_row():
 
 def test_lp_ladder_values():
     # values of the 40/80/8 and 80/200/16 natural LPs and of the
-    # cutting-plane masters of their strengthened relaxations
+    # cutting-plane masters of their strengthened relaxations, which start
+    # from the forced-pair cover rows and so end above the natural value
     inst = pv.generate_random(40, 80, 8, 1, pv.GeneratorConfig(weight_range=(1, 3)))
     assert pv.solve_natural_lp(inst).objective == pytest.approx(39.125, abs=1e-6)
-    assert pv.solve_relaxation(inst).objective == pytest.approx(39.125, abs=1e-6)
+    assert pv.solve_relaxation(inst).objective == pytest.approx(40.0, abs=1e-6)
     inst = pv.generate_random(80, 200, 16, 1, pv.GeneratorConfig(weight_range=(1, 3)))
     assert pv.solve_natural_lp(inst).objective == pytest.approx(79.878655, abs=1e-6)
-    assert pv.solve_relaxation(inst).objective == pytest.approx(79.878655, abs=1e-6)
+    assert pv.solve_relaxation(inst).objective == pytest.approx(79.892778, abs=1e-6)
 
 
 def ladder_work(monkeypatch, cells):
@@ -220,12 +221,12 @@ def test_lp_work_counters_pinned(monkeypatch):
     # that picks shallower capped rows shows in the strengthened solve counts
     got = ladder_work(monkeypatch, ((40, 80, 8), (80, 200, 16), (150, 400, 30), (250, 700, 50)))
     assert got == [
-        (6, 54), (14, 65), (12, 216), (41, 246), (15, 1021), (91, 1519), (16, 2561), (197, 5003),
+        (4, 34), (2, 29), (13, 251), (34, 244), (11, 885), (62, 929), (15, 2228), (152, 3787),
     ]
 
 
 def test_ladder_loops_carry_their_tableau_without_drift(monkeypatch):
-    # the natural and strengthened loops on 150/400/30 carry over a thousand
+    # the natural and strengthened loops on 250/700/50 carry over a thousand
     # pivots each with no factorization; the last master the loop solved,
     # rebuilt cold from the nonzeros of its row buffers, must give the same
     # value and point
@@ -240,7 +241,7 @@ def test_ladder_loops_carry_their_tableau_without_drift(monkeypatch):
         return out
 
     monkeypatch.setattr(relaxation, "lp_solve", capturing)
-    inst = pv.generate_random(150, 400, 30, 1, pv.GeneratorConfig(weight_range=(1, 3)))
+    inst = pv.generate_random(250, 700, 50, 1, pv.GeneratorConfig(weight_range=(1, 3)))
     for solve in (pv.solve_natural_lp, pv.solve_relaxation):
         solve(inst)
         assert not factored
@@ -263,7 +264,7 @@ def test_bland_fallback_from_the_first_pivot_gives_blands_counts(monkeypatch):
     # are those of the kernel that used Bland's rule alone
     monkeypatch.setattr(lp_module, "_BLAND_AFTER", 0)
     got = ladder_work(monkeypatch, ((40, 80, 8), (80, 200, 16), (150, 400, 30)))
-    assert got == [(6, 92), (14, 99), (12, 488), (41, 418), (15, 3827), (91, 3475)]
+    assert got == [(4, 70), (2, 70), (12, 516), (34, 407), (11, 3480), (63, 2280)]
 
 
 def test_largest_violation_and_bland_take_different_paths(monkeypatch):

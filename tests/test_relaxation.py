@@ -9,6 +9,7 @@ exact branch-and-bound optimum and the natural relaxation.
 import dataclasses
 import itertools
 import math
+import random
 import re
 
 import numpy as np
@@ -604,6 +605,76 @@ def test_row_builders_keep_exact_python_ints_near_2_61():
         assert all(type(v) is int and type(a) is int for v, a in row.coefficients)
 
 
+def forced_pairs_reference(inst):
+    """Forced pairs by definition, (group, u, v, kept, weight, left) keyed by
+    (u, v): every vertex pair of every group, in group order, with the
+    pair's member weight compared against W_i - k_i."""
+    out = {}
+    for gi, g in enumerate(inst.groups):
+        members = [(eid, inst.edges[eid]) for eid in g.edges]
+        total = sum(e.weight for _, e in members)
+        for u, v in itertools.combinations(range(inst.n), 2):
+            kept = tuple(eid for eid, e in members if {e.u, e.v} == {u, v})
+            weight = sum(inst.edges[eid].weight for eid in kept)
+            alone = max(
+                sum(e.weight for _, e in members if end in (e.u, e.v)) for end in (u, v)
+            )
+            if weight > total - g.target and alone < g.target and (u, v) not in out:
+                out[u, v] = (gi, u, v, kept, weight, weight - (total - g.target))
+    return out
+
+
+def dense_instance(rnd, n, m, r, overlap):
+    """m random weighted edges on n vertices, so parallel edges are common,
+    in r groups (an edge joins a second group with probability overlap),
+    each with a target drawn from the top of its weight."""
+    edges = tuple(pv.Edge(*rnd.sample(range(n), 2), rnd.randint(1, 3)) for _ in range(m))
+    members = [set() for _ in range(r)]
+    for eid in range(m):
+        members[eid % r].add(eid)
+        if rnd.random() < overlap:
+            members[rnd.randrange(r)].add(eid)
+    groups = []
+    for g in members:
+        total = sum(edges[eid].weight for eid in g)
+        groups.append(pv.Group(tuple(sorted(g)), rnd.randint(max(0, total - 3), total)))
+    return pv.Instance(tuple(rnd.randint(1, 5) for _ in range(n)), edges, tuple(groups))
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.4])
+def test_forced_pairs_match_the_definition(overlap):
+    # the builder against a brute-force reference; each forced pair's cover
+    # row is the paper's truncated row of the suppressed set V - {u, v}, and
+    # every cover of the instance takes u or v
+    rnd = random.Random(20111208)
+    parallel = forced = 0
+    for _ in range(40):
+        inst = dense_instance(rnd, rnd.randint(3, 7), rnd.randint(4, 14), rnd.randint(1, 3), overlap)
+        got = list(relaxation._forced_pairs(inst))
+        want = forced_pairs_reference(inst)
+        assert len(got) == len(want) and {pair[1:3]: pair for pair in got} == want
+        parallel += len({(min(e.u, e.v), max(e.u, e.v)) for e in inst.edges}) < inst.m
+        forced += len(got)
+        covers = [
+            set(chosen)
+            for k in range(inst.n + 1)
+            for chosen in itertools.combinations(range(inst.n), k)
+            if pv.is_feasible(inst, chosen)
+        ]
+        capped = list(relaxation._forced_capped_rows(inst))
+        for (gi, u, v, kept, weight, left), row, cap in zip(
+            got, relaxation._forced_cover_rows(inst), capped
+        ):
+            others = [w for w in range(inst.n) if w not in (u, v)]
+            assert row == pv.build_kc_constraint(inst, gi, others)
+            assert row.coefficients == ((u, left), (v, left)) and row.rhs == left
+            assert (cap.group, cap.kept, cap.coefficients, cap.rhs) == (
+                gi, kept, ((u, weight), (v, weight)), left
+            )
+            assert all(u in cover or v in cover for cover in covers)
+    assert parallel >= 20 and forced >= 20
+
+
 # ------------------------------------------------------------------- solving
 
 
@@ -623,16 +694,39 @@ def test_solve_relaxation_lopsided_edge(lopsided_edge):
 
 
 def test_full_target_groups_solve_to_the_natural_value():
-    # every group's target is all of its weight, so every edge must be
-    # covered: the strengthened point is the natural optimum, and rounding
-    # from it covers every group
-    inst = pv.parse_instance(full_target_text(60, 180, 6))
+    # every group's target is all of its weight, so every edge is a forced
+    # pair and both loops start from the vertex cover LP, whose optimum the
+    # first solve returns; r = 1 is plain weighted vertex cover.  Every
+    # forced row holds at the points, and rounding covers every group
+    for r in (6, 1):
+        inst = pv.parse_instance(full_target_text(60, 180, r))
+        natural = pv.solve_natural_lp(inst)
+        frac = pv.solve_relaxation(inst)
+        assert natural.objective == pytest.approx(163.0, abs=1e-6)
+        assert frac.objective == pytest.approx(163.0, abs=1e-6)
+        assert len(frac.objectives) == 1
+        cover_rows = list(relaxation._forced_cover_rows(inst))
+        capped_rows = list(relaxation._forced_capped_rows(inst))
+        assert len(cover_rows) == len(capped_rows) == inst.m
+        assert set(cover_rows) <= set(frac.certificate)
+        assert all(row.satisfied_by(frac.x) for row in cover_rows)
+        assert all(row.satisfied_by(natural.x) for row in capped_rows)
+        sel, report = pv.solve_rounded(inst, frac, pv.RoundingConfig(seed=0), prune=True)
+        assert report.feasible and pv.is_feasible(inst, sel.chosen)
+        assert set(report.pruned_chosen) <= set(sel.chosen)
+
+
+def test_full_target_star_skips_its_forced_edges():
+    # every edge of a full-target star is forced, but the centre alone meets
+    # the target: the pairs are skipped, and the unsuppressed cover row
+    # settles the star in one solve
+    degree = 20_000
+    star = pv.generate_star(degree)
+    inst = pv.Instance(star.costs, star.edges, (pv.Group(star.groups[0].edges, degree),))
+    assert not list(relaxation._forced_pairs(inst))
     frac = pv.solve_relaxation(inst)
-    assert frac.objective == pytest.approx(163.0, abs=1e-6)
-    assert frac.objective == pytest.approx(pv.solve_natural_lp(inst).objective, abs=1e-6)
-    sel, report = pv.solve_rounded(inst, frac, pv.RoundingConfig(seed=0), prune=True)
-    assert report.feasible and pv.is_feasible(inst, sel.chosen)
-    assert set(report.pruned_chosen) <= set(sel.chosen)
+    assert frac.objective == pytest.approx(1.0, abs=1e-6)
+    assert len(frac.objectives) == 1
 
 
 def test_solve_relaxation_rejects_unknown_mode(star5):
@@ -777,20 +871,23 @@ def test_duplicate_cut_stalls_only_while_it_stays_violated(star5, kind):
 
 def test_certificate_holds_the_cover_rows_only():
     """Capped rows steer the strengthened loop but never enter the certificate:
-    it is the r starting rows plus one row per appended cover cut, which is
-    what solve's cuts: line reports."""
+    it is the r starting rows and the forced-pair rows, plus one row per
+    appended cover cut, which is what solve's cuts: line reports."""
     cfg = pv.GeneratorConfig(weight_range=(1, 3))
-    with_capped = 0
-    for seed in range(50, 60):
+    with_capped = with_forced = 0
+    for seed in range(50, 70):
         inst = pv.generate_random(14, 22, 4, seed, cfg)
         log: list[str] = []
         cert = pv.solve_relaxation(inst, cut_log=log).certificate
         assert all(isinstance(row, pv.KnapsackCoverConstraint) for row in cert), seed
         assert len(set(cert)) == len(cert), seed
+        forced = len(list(relaxation._forced_cover_rows(inst)))
         cover_cuts = sum(" suppressed=" in line for line in log)
-        assert len(cert) - inst.r == cover_cuts, seed
+        assert len(cert) - inst.r - forced == cover_cuts, seed
         with_capped += any(" kept=" in line for line in log)
-    assert with_capped >= 5  # the capped step runs on most of the family
+        with_forced += forced > 0
+    # the seeded rows leave the capped step to about half the family
+    assert with_capped >= 8 and with_forced >= 8
 
 
 def test_scaling_costs_scales_the_value():

@@ -356,9 +356,9 @@ def test_small_instance_outputs_pinned():
                        report.pruned_cost, report.pruned_chosen)
             out.append((frac.x, frac.objective, frac.objectives, frac.certificate,
                         frac.cost_cap, natural, sel, rounded))
-    assert sum(len(o[2]) for o in out) == 247  # LP solves of the strengthened loops
+    assert sum(len(o[2]) for o in out) == 196  # LP solves of the strengthened loops
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "27e469e10ff72c2b4d5b6f9569ff22b9ff68300186155986082bdd8584a2023f"
+        "0a7e238838b7a267d7aaca4dc3cf1becfec1d929505cfc41b9b4ac7b2a7cf175"
     )
 
 
